@@ -2,12 +2,16 @@
 
     python3 bench/run.py --workload city15 [--seed 1] [--seconds 40] [--trace 0|1]
 
-With ``--trace 0`` the workload's scenario is run again and again, each
-time in a fresh single-threaded process, until ``--seconds`` have passed
-(at least three times).  Every repeat's trip log is checked, and the
-end-to-end metrics are the medians over the repeats.  With ``--trace 1``
-the scenario runs once untraced and twice with every layer hooked; the
-per-layer metrics come from the traced runs, whose counts must agree.
+A seed stands for three draws of the workload's demand (``workloads.py``).
+With ``--trace 0`` the draws run in turn, again and again, in one fresh
+single-threaded process until ``--seconds`` have passed (each at least
+once), and every run's trip log is checked.  The host's speed
+is probed just before every matcher call, and every time reported is
+scaled to a fixed host speed (``scaled_runs``), so a slow stretch of a
+shared host does not show as a slower program.  With ``--trace 1`` the
+first draw runs once untraced and twice with every layer hooked, each in
+a fresh process; the per-layer metrics come from the traced runs, whose
+counts must agree.
 
 Run from the root of a checkout: the program is imported from ``src/``.
 The last line of stdout is one JSON object with the keys ``correct``,
@@ -26,34 +30,34 @@ import time
 from importlib import metadata
 from pathlib import Path
 
+START = time.perf_counter()
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
-OUT_DIR = ROOT / ".bench_out"
 EXPECTED = BENCH_DIR / "expected.json"
 
 sys.path.insert(0, str(BENCH_DIR))
 from tracer import METRICS as LAYER_METRICS  # noqa: E402
-from workloads import DEFAULT_SEED, WORKLOADS, write_request_file  # noqa: E402
+from workloads import DEFAULT_SEED, DRAWS, WORKLOADS  # noqa: E402
 
-MIN_REPEATS = 3
 WORKER_TIMEOUT_S = 170
-# a repeat runs alone in its process: no BLAS thread pools
+# times are scaled to a host on which ``worker.host_probe`` takes this long,
+# about its time at full speed on the 2-vCPU Intel Xeon VM the benchmark
+# was tuned on; see README.md
+PROBE_S = 1.0e-3
+# a worker runs alone in its process: no BLAS thread pools
 WORKER_ENV = {**os.environ, "OMP_NUM_THREADS": "1",
               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def run_worker(workload: str, seed: int, requests: Path,
-               trace: bool) -> dict | None:
-    """One repeat in a fresh process; None when it raised or timed out."""
+def run_worker(workload: str, seed: int, *extra: str):
+    """A worker in a fresh process; None when it failed or timed out."""
     cmd = [sys.executable, str(BENCH_DIR / "worker.py"), "--workload",
-           workload, "--seed", str(seed), "--requests", str(requests)]
-    if trace:
-        cmd.append("--trace")
+           workload, "--seed", str(seed), *extra]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=WORKER_TIMEOUT_S, env=WORKER_ENV)
     except subprocess.TimeoutExpired:
-        print(f"repeat timed out after {WORKER_TIMEOUT_S} s", file=sys.stderr)
+        print(f"worker timed out after {WORKER_TIMEOUT_S} s", file=sys.stderr)
         return None
     if proc.returncode != 0:
         print(proc.stderr[-2000:], file=sys.stderr)
@@ -61,27 +65,29 @@ def run_worker(workload: str, seed: int, requests: Path,
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def check_repeats(repeats: list[dict | None], expected: str | None) -> int:
-    """Failed repeats: raised, broke an invariant, or a trip-log mismatch.
+def check_runs(runs: list[dict], expected: list[str] | None) -> int:
+    """Failed runs: broke an invariant or a trip-log mismatch.
 
-    Without a recorded hash, repeats must still agree with each other.
+    Without recorded hashes, the runs of a draw must still agree with each
+    other.
     """
-    reference = expected or next(
-        (r["trip_log_sha256"] for r in repeats if r), None)
-    return sum(1 for r in repeats
-               if r is None or r["breaches"]
-               or r["trip_log_sha256"] != reference)
+    reference = list(expected or [])
+    for r in runs:
+        if r["draw"] >= len(reference):
+            reference.append(r["trip_log_sha256"])
+    return sum(1 for r in runs if r["breaches"]
+               or r["trip_log_sha256"] != reference[r["draw"]])
 
 
-def recorded_hash(workload: str, seed: int) -> str | None:
+def recorded_hashes(workload: str, seed: int) -> list[str] | None:
     if not EXPECTED.is_file():
         return None
     return json.loads(EXPECTED.read_text()).get(workload, {}).get(str(seed))
 
 
-def record_hash(workload: str, seed: int, sha: str) -> None:
+def record_hashes(workload: str, seed: int, shas: list[str]) -> None:
     doc = json.loads(EXPECTED.read_text()) if EXPECTED.is_file() else {}
-    doc.setdefault(workload, {})[str(seed)] = sha
+    doc.setdefault(workload, {})[str(seed)] = shas
     EXPECTED.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -99,54 +105,101 @@ def quartiles(values: list[float]) -> str:
     return f"q1 {q1:.4f} q3 {q3:.4f} n={len(values)}"
 
 
-def end_to_end(args, requests: Path, expected: str | None):
-    start = time.perf_counter()
-    repeats: list[dict | None] = []
-    while True:
-        repeats.append(run_worker(args.workload, args.seed, requests, False))
-        elapsed = time.perf_counter() - start
-        if repeats[-1] is None:
-            break
-        if (len(repeats) >= MIN_REPEATS
-                and elapsed * (len(repeats) + 1) / len(repeats) > args.seconds):
-            break
-    failed = check_repeats(repeats, expected)
-    good = [r for r in repeats if r]
-    if not good:
-        return len(repeats), failed, {}, None
-    samples = {
-        "run_s": ([r["run_s"] for r in good], "s"),
-        "update_p50_ms": ([statistics.median(r["busy_update_s"]) * 1e3
-                           for r in good], "ms"),
-        "update_p90_ms": ([statistics.quantiles(r["busy_update_s"], n=10)[8]
-                           * 1e3 for r in good], "ms"),
-        "setup_s": ([statistics.median(r["setup_s"]) for r in good], "s"),
-        "peak_rss_mb": ([r["peak_rss_mb"] for r in good], "MB"),
-        "service_rate_pct": ([r["service_rate_pct"] for r in good], "%"),
+def wall_s(run: dict) -> float:
+    """Unscaled wall time of one run, the probes left out."""
+    return run["head_s"] + sum(run["update_s"]) + sum(run["between_s"])
+
+
+def scaled_runs(out: dict) -> tuple[list[float], list[list[float]],
+                                      list[float]]:
+    """Every time scaled to a host on which the probe takes PROBE_S.
+
+    A segment's time is multiplied by ``PROBE_S / probe``, the probe being
+    the median of the readings just before the segment's matcher call and
+    just before the calls either side.  Returns per run the scaled run
+    time and the scaled matcher-call times, and the scaled set-up times.
+    """
+    totals, updates = [], []
+    for r in out["runs"]:
+        probes = r["probe_s"]
+        scale = [PROBE_S / statistics.median(probes[max(k - 1, 0):k + 2])
+                 for k in range(len(probes))]
+        totals.append(r["head_s"] * scale[0] + sum(
+            (u + b) * k for u, b, k in zip(r["update_s"], r["between_s"],
+                                           scale)))
+        updates.append([u * k for u, k in zip(r["update_s"], scale)])
+    setup = [t * PROBE_S / p
+             for t, p in zip(out["setup_s"], out["setup_probe_s"])]
+    return totals, updates, setup
+
+
+def first_hashes(runs: list[dict]) -> list[str]:
+    """The trip-log hash of each draw's first run, in draw order."""
+    return [next(r["trip_log_sha256"] for r in runs if r["draw"] == d)
+            for d in sorted({r["draw"] for r in runs})]
+
+
+def end_to_end(args, expected: list[str] | None):
+    budget = args.seconds - (time.perf_counter() - START)
+    out = run_worker(args.workload, args.seed,
+                     "--seconds", str(max(budget, 0.0)))
+    if out is None:
+        return 1, 1, {}, []
+    runs = out["runs"]
+    failed = check_runs(runs, expected)
+    totals, updates, setup = scaled_runs(out)
+    # per draw: the medians over its runs; a deterministic program makes
+    # the same matcher calls in every run of a draw
+    run_s, busy, setup_s = [], [], []
+    for draw in range(DRAWS):
+        mine = [k for k, r in enumerate(runs) if r["draw"] == draw]
+        flags = runs[mine[0]]["busy"]
+        if any(runs[k]["busy"] != flags for k in mine):
+            print(f"runs of draw {draw} made different matcher calls")
+            return len(runs), len(runs), {}, []
+        run_s.append(statistics.median(totals[k] for k in mine))
+        setup_s.append(statistics.median(setup[k] for k in mine))
+        busy += [statistics.median(times) * 1e3 for times, is_busy
+                 in zip(zip(*(updates[k] for k in mine)), flags) if is_busy]
+    metrics = {
+        "run_s": (statistics.mean(run_s), "s"),
+        "update_p50_ms": (statistics.median(busy), "ms"),
+        "update_p90_ms": (statistics.quantiles(busy, n=10)[8], "ms"),
+        "setup_s": (statistics.mean(setup_s), "s"),
+        "peak_rss_mb": (out["peak_rss_mb"], "MB"),
+        "service_rate_pct": (statistics.mean(
+            runs[d]["service_rate_pct"] for d in range(DRAWS)), "%"),
     }
-    print(f"workload {args.workload} seed {args.seed}: {len(repeats)} "
-          f"repeats, each in a fresh process; medians over repeats")
-    for name, (values, unit) in samples.items():
-        print(f"  {name:18} {statistics.median(values):12.4f} {unit:5} "
-              f"{quartiles(values)}")
-    busy = [len(r["busy_update_s"]) for r in good]
-    print(f"  update percentiles are per repeat over {min(busy)}-{max(busy)} "
-          f"busy updates (pending non-empty at entry)")
-    print(f"  {'failed_run_share':18} {failed / len(repeats):12.4f} ratio "
-          f"({failed} of {len(repeats)})")
-    metrics = {name: {"value": statistics.median(values), "unit": unit}
-               for name, (values, unit) in samples.items()}
-    return len(repeats), failed, metrics, good[0]["trip_log_sha256"]
+    print(f"workload {args.workload} seed {args.seed}: {len(runs)} runs of "
+          f"{DRAWS} draws in one fresh process; times scaled by the host "
+          f"probe, medians over a draw's runs, means over draws")
+    for name, (value, unit) in metrics.items():
+        print(f"  {name:18} {value:12.4f} {unit}")
+    print(f"  update percentiles are over {len(busy)} busy updates "
+          f"(pending non-empty at entry) of the {DRAWS} draws, each call "
+          f"the median over its draw's runs")
+    print(f"  scaled run_s per draw  "
+          f"{' '.join(f'{v:.4f}' for v in run_s)} s")
+    whole = [wall_s(r) for r in runs]
+    print(f"  unscaled run_s   {statistics.median(whole):12.4f} s  "
+          f"{quartiles(whole)}")
+    print(f"  unscaled setup_s {statistics.median(out['setup_s']):12.4f} s  "
+          f"{quartiles(out['setup_s'])}")
+    print(f"  {'failed_run_share':18} {failed / len(runs):12.4f} ratio "
+          f"({failed} of {len(runs)})")
+    metrics = {name: {"value": value, "unit": unit}
+               for name, (value, unit) in metrics.items()}
+    return len(runs), failed, metrics, first_hashes(runs)
 
 
-def traced(args, requests: Path, expected: str | None):
-    plain = run_worker(args.workload, args.seed, requests, False)
-    runs = [run_worker(args.workload, args.seed, requests, True)
+def traced(args, expected: list[str] | None):
+    plain = run_worker(args.workload, args.seed, "--min-runs", "1")
+    runs = [run_worker(args.workload, args.seed, "--trace")
             for _ in range(2)]
-    repeats = [plain, *runs]
-    failed = check_repeats(repeats, expected)
-    if not all(runs):
-        return len(repeats), failed, {}, None
+    if plain is None or not all(runs):
+        return 3, 3 - sum(1 for r in runs if r), {}, []
+    failed = check_runs([*plain["runs"], *({"draw": 0, **r} for r in runs)],
+                        expected)
     counted = {name for name, (unit, _) in LAYER_METRICS.items()
                if unit != "s"}
     drift = sorted(name for name in counted
@@ -157,8 +210,8 @@ def traced(args, requests: Path, expected: str | None):
         print(f"per-layer counts differ between traced runs: {drift}")
         failed += 1
     metrics = {}
-    print(f"workload {args.workload} seed {args.seed}: per-layer metrics "
-          f"of two traced runs (times are medians)")
+    print(f"workload {args.workload} seed {args.seed}, draw 0: per-layer "
+          f"metrics of two traced runs (times are medians)")
     for name, (unit, _) in LAYER_METRICS.items():
         values = [r["layers"][name] for r in runs]
         value = (None if values[0] is None else
@@ -166,14 +219,14 @@ def traced(args, requests: Path, expected: str | None):
         metrics[name] = {"value": value, "unit": unit}
         shown = "missing" if value is None else f"{value:14.4f}"
         print(f"  {name:38} {shown} {unit}")
-    if plain:
-        overhead = statistics.median(r["run_s"] for r in runs) - plain["run_s"]
-        metrics["trace.overhead_s"] = {"value": overhead, "unit": "s"}
-        print(f"  {'trace.overhead_s':38} {overhead:14.4f} s  (traced "
-              f"minus untraced run_s {plain['run_s']:.4f} s)")
+    plain_s = wall_s(plain["runs"][0])
+    overhead = statistics.median(r["run_s"] for r in runs) - plain_s
+    metrics["trace.overhead_s"] = {"value": overhead, "unit": "s"}
+    print(f"  {'trace.overhead_s':38} {overhead:14.4f} s  (traced "
+          f"minus untraced run_s {plain_s:.4f} s)")
     if runs[0]["missing_hooks"]:
         print(f"  hooks whose target is gone: {runs[0]['missing_hooks']}")
-    return len(repeats), failed, metrics, runs[0]["trip_log_sha256"]
+    return 3, failed, metrics, [runs[0]["trip_log_sha256"]]
 
 
 def main() -> None:
@@ -183,25 +236,27 @@ def main() -> None:
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--record", action="store_true",
-                    help="store this seed's trip-log SHA-256 as the expected one")
+                    help="store this seed's trip-log SHA-256s as the "
+                         "expected ones")
     args = ap.parse_args()
     if not (ROOT / "src" / "ridematch" / "__init__.py").is_file():
         sys.exit(f"no ridematch source tree under {ROOT / 'src'}")
 
-    requests = OUT_DIR / f"{args.workload}-{args.seed}.requests.json"
-    write_request_file(WORKLOADS[args.workload], args.seed, requests)
-    expected = None if args.record else recorded_hash(args.workload, args.seed)
+    expected = None if args.record else recorded_hashes(args.workload,
+                                                        args.seed)
     measure = traced if args.trace else end_to_end
-    attempted, failed, metrics, sha = measure(args, requests, expected)
-    if expected:
-        verdict = "matches the recorded hash" if sha == expected else \
-            f"DIFFERS from the recorded {expected}"
-    else:
-        verdict = "no hash recorded for this seed"
-    print(f"  trip_log_sha256 {sha} ({verdict})")
+    attempted, failed, metrics, shas = measure(args, expected)
+    for draw, sha in enumerate(shas):
+        if not expected:
+            verdict = "no hash recorded for this seed"
+        elif sha == expected[draw]:
+            verdict = "matches the recorded hash"
+        else:
+            verdict = f"DIFFERS from the recorded {expected[draw]}"
+        print(f"  draw {draw} trip_log_sha256 {sha} ({verdict})")
     print(f"  env: {environment()}")
-    if args.record and sha and not failed:
-        record_hash(args.workload, args.seed, sha)
+    if args.record and len(shas) == DRAWS and not failed:
+        record_hashes(args.workload, args.seed, shas)
     print(json.dumps({"correct": failed == 0 and bool(metrics),
                       "attempted": attempted, "failed": failed,
                       "metrics": metrics}))

@@ -92,7 +92,7 @@ def main() -> None:
         failed = sum(r["failed"] for r in results)
         attempted = sum(r["attempted"] for r in results)
         print(f"{workload:9} {'failed_run_share':38} {failed / attempted:12.4f}"
-              f"  ({failed} of {attempted} repeats; all correct: "
+              f"  ({failed} of {attempted} runs; all correct: "
               f"{all(r['correct'] for r in results)})")
 
 

@@ -5,6 +5,11 @@ simulator as a request file.  The request count is exact and arrivals are
 stratified (one per equal slice of the loading period), so two seeds differ
 in where and when trips arise but not in how many there are.  A Poisson
 count varies by about 5 %, and pricing work grows faster than the count.
+
+One benchmark seed stands for ``DRAWS`` independent draws of the same
+workload.  Even with an exact count, how much pricing a draw needs varies
+from draw to draw (by about 10 % on ``pool10``), and a run of the
+benchmark averages that over its draws.
 """
 
 from __future__ import annotations
@@ -21,6 +26,15 @@ FLEXIBILITY_S = 300
 UPDATE_INTERVAL_S = 30
 LOADING_PERIOD_S = 3000
 DEFAULT_SEED = 1
+DRAWS = 3
+
+
+def draw_seed(seed: int, draw: int) -> int:
+    """The scenario seed of one draw: it seeds the demand and the fleet.
+
+    Draw 0 of seed ``s`` is the scenario seeded ``s``.
+    """
+    return seed + 1000 * draw
 
 
 @dataclass(frozen=True)
