@@ -121,6 +121,12 @@ class RoadNetwork:
         self._require(dst)
         return self._distances_from(src).get(dst)
 
+    def travel_times_from(self, src: int) -> dict[int, int]:
+        """Travel times from ``src`` to every reachable node; the mapping
+        is the routing cache itself, so do not modify it."""
+        self._require(src)
+        return self._distances_from(src)
+
     def shortest_path(self, src: int, dst: int) -> tuple[int, ...] | None:
         """Node sequence of a time-shortest path, or None if unreachable.
 
@@ -148,7 +154,8 @@ class RoadNetwork:
                 if remain is not None and base + link.travel_time_s + remain == total:
                     step = link.dst
                     break
-            assert step is not None, "inconsistent distance tables"
+            if step is None:
+                raise RuntimeError("inconsistent distance tables")
             path.append(step)
             current = step
         result = tuple(path)

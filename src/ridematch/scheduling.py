@@ -1,16 +1,24 @@
 """Tour pricing: single-request insertion and two-vehicle merge plans.
 
-A plan is priced by simulating the tour stop by stop from the vehicle's
+A plan is priced by driving the tour stop by stop from the vehicle's
 current position.  Every stop must respect the owning request's window
 (pickup by ``q_r``, dropoff by ``l_r``) and the running occupancy must
 never exceed capacity.  The cost of a feasible plan is the time from the
 current update instant until the last stop is completed.
+
+Every plan shape is one depth-first search over units (single stops or
+donor half-tour blocks) that places the lowest-index placeable unit
+first, carrying the clock and load, so whole tours come in a fixed
+enumeration order.  A branch is cut at its first missed window, overfull
+vehicle or unreachable leg, and once its clock reaches the best
+completion so far: legs are never negative and a tie never replaces the
+earlier plan, so the first optimum in enumeration order wins.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import DROPOFF, PICKUP, Request, Stop, Tour, Vehicle
 from .network import RoadNetwork
@@ -23,16 +31,6 @@ class PlanResult(NamedTuple):
 
 
 INFEASIBLE = PlanResult(False, None, None)
-
-
-def check_z1(pickup_arrival: int, q_r: int) -> bool:
-    """Pickup no later than the latest pickup time."""
-    return pickup_arrival <= q_r
-
-
-def check_z2(dropoff_arrival: int, l_r: int) -> bool:
-    """Dropoff no later than the latest dropoff time."""
-    return dropoff_arrival <= l_r
 
 
 def tour_schedule(net: RoadNetwork, start_node: int, depart_t: int,
@@ -73,13 +71,13 @@ def evaluate_tour(net: RoadNetwork, t: int, start_node: int, depart_t: int,
         clock += leg
         req = requests_by_id[stop.request_id]
         if stop.kind == PICKUP:
-            if not check_z1(clock, req.q_r):
+            if clock > req.q_r:
                 return None
             load += 1
             if load > capacity:
                 return None
         else:
-            if not check_z2(clock, req.l_r):
+            if clock > req.l_r:
                 return None
             load -= 1
         arrivals.append(clock)
@@ -87,54 +85,6 @@ def evaluate_tour(net: RoadNetwork, t: int, start_node: int, depart_t: int,
     if not tour:
         return 0, ()
     return clock - t, tuple(arrivals)
-
-
-def insertion_candidates(tour: Tour, pickup: Stop,
-                         dropoff: Stop) -> Iterator[Tour]:
-    """All tours that keep the existing stop order and add the new pair.
-
-    The pickup goes to slot ``i`` (0..L) and the dropoff to any later slot
-    ``j``; candidates come out in ascending ``(i, j)`` order.
-    """
-    L = len(tour)
-    for i in range(L + 1):
-        with_pickup = tour[:i] + (pickup,) + tour[i:]
-        for j in range(i + 1, L + 2):
-            yield with_pickup[:j] + (dropoff,) + with_pickup[j:]
-
-
-def exhaustive_candidates(tour: Tour, pickup: Stop,
-                          dropoff: Stop) -> Iterator[Tour]:
-    """Every precedence-valid ordering of the old stops plus the new pair.
-
-    Unlike plain insertion this may reorder the existing stops; pickups
-    still precede their dropoffs.  Used for short tours where complete
-    enumeration is cheap.
-    """
-    stops = list(tour) + [pickup, dropoff]
-    n = len(stops)
-    pickup_pos = {s.request_id: k for k, s in enumerate(stops)
-                  if s.kind == PICKUP}
-
-    def placeable(k: int, used: set[int]) -> bool:
-        s = stops[k]
-        if s.kind == DROPOFF and s.request_id in pickup_pos:
-            return pickup_pos[s.request_id] in used
-        return True
-
-    def walk(prefix: list[Stop], used: set[int]) -> Iterator[Tour]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for k in range(n):
-            if k not in used and placeable(k, used):
-                prefix.append(stops[k])
-                used.add(k)
-                yield from walk(prefix, used)
-                used.remove(k)
-                prefix.pop()
-
-    yield from walk([], set())
 
 
 # tours with at most this many distinct requests are priced exhaustively
@@ -145,24 +95,27 @@ def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
               requests_by_id: Mapping[int, Request]) -> PlanResult:
     """Best feasible tour serving the vehicle's plan plus one new request.
 
-    Tours with at most two distinct requests are re-optimised by complete
-    enumeration; longer ones keep their stop order and take the cheapest
-    insertion of the new pickup/dropoff pair.  Ties keep the first
-    candidate in enumeration order.
+    Tours with at most two distinct requests are re-optimised over every
+    order of their stops and the new pair, each dropoff after its own
+    pickup.  Longer ones keep their stop order and take the cheapest
+    insertion of the new pickup/dropoff pair, tried in ascending (pickup
+    slot, dropoff slot) order.  Ties keep the first candidate.
     """
     if vehicle.available_capacity < 1:
         return INFEASIBLE
-    pickup = Stop(PICKUP, request.id, request.origin)
-    dropoff = Stop(DROPOFF, request.id, request.destination)
+    stops = vehicle.tour + (Stop(PICKUP, request.id, request.origin),
+                            Stop(DROPOFF, request.id, request.destination))
     lookup = _with_request(requests_by_id, request)
-    distinct = {s.request_id for s in vehicle.tour}
-    if len(distinct) <= EXHAUSTIVE_REQUEST_LIMIT:
-        candidates = exhaustive_candidates(vehicle.tour, pickup, dropoff)
-    else:
-        candidates = insertion_candidates(vehicle.tour, pickup, dropoff)
-    return _best_plan(net, t, vehicle.location,
-                      max(t, vehicle.ready_at), candidates,
-                      len(vehicle.onboard), vehicle.capacity, lookup)
+    if len({s.request_id for s in vehicle.tour}) <= EXHAUSTIVE_REQUEST_LIMIT:
+        pickup_at = {s.request_id: k for k, s in enumerate(stops)
+                     if s.kind == PICKUP}
+        after = [-1 if s.kind == PICKUP else pickup_at.get(s.request_id, -1)
+                 for s in stops]
+        return _cheapest(net, t, vehicle, [(s,) for s in stops], after,
+                         lookup)
+    units, after = _chains([(s,) for s in stops[-2:]],
+                           [(s,) for s in vehicle.tour])
+    return _cheapest(net, t, vehicle, units, after, lookup)
 
 
 def split_tour(tour: Tour) -> tuple[Tour, Tour]:
@@ -171,35 +124,20 @@ def split_tour(tour: Tour) -> tuple[Tour, Tour]:
     return tour[:cut], tour[cut:]
 
 
-def split_merge_candidates(recipient_tour: Tour, part1: Tour,
-                           part2: Tour) -> Iterator[Tour]:
-    """All merges of a split donor tour into the recipient's tour.
-
-    Both parts are inserted as contiguous blocks, the second at or after
-    the end of the first, with the recipient's own stop order preserved.
-    Candidates come out in ascending ``(i, j)`` order.
-    """
-    for i in range(len(recipient_tour) + 1):
-        with_first = recipient_tour[:i] + part1 + recipient_tour[i:]
-        for j in range(i + len(part1), len(with_first) + 1):
-            yield with_first[:j] + part2 + with_first[j:]
-
-
 def split_merge_cost(net: RoadNetwork, t: int, donor: Vehicle,
                      recipient: Vehicle,
                      requests_by_id: Mapping[int, Request]) -> PlanResult:
     """Best feasible tour for the recipient after absorbing the donor's.
 
     The donor tour is split at its middle and both halves are inserted as
-    blocks into the recipient tour; the plan is priced from the
-    recipient's position.  Ties keep the first candidate.
+    contiguous blocks, the second after the first, into the recipient
+    tour, whose own stop order is kept; candidates are tried in ascending
+    (first block slot, second block slot) order and the plan is priced
+    from the recipient's position.  Ties keep the first candidate.
     """
-    part1, part2 = split_tour(donor.tour)
-    candidates = split_merge_candidates(recipient.tour, part1, part2)
-    return _best_plan(net, t, recipient.location,
-                      max(t, recipient.ready_at), candidates,
-                      len(recipient.onboard), recipient.capacity,
-                      requests_by_id)
+    blocks = [part for part in split_tour(donor.tour) if part]
+    units, after = _chains(blocks, [(s,) for s in recipient.tour])
+    return _cheapest(net, t, recipient, units, after, requests_by_id)
 
 
 def _with_request(requests_by_id: Mapping[int, Request],
@@ -211,19 +149,74 @@ def _with_request(requests_by_id: Mapping[int, Request],
     return merged
 
 
-def _best_plan(net: RoadNetwork, t: int, start_node: int, depart_t: int,
-               candidates: Iterator[Tour], onboard_count: int, capacity: int,
-               requests_by_id: Mapping[int, Request]) -> PlanResult:
-    best_cost: int | None = None
-    best_tour: Tour | None = None
-    for cand in candidates:
-        priced = evaluate_tour(net, t, start_node, depart_t, cand,
-                               onboard_count, capacity, requests_by_id)
-        if priced is None:
-            continue
-        cost, _ = priced
-        if best_cost is None or cost < best_cost:
-            best_cost, best_tour = cost, cand
-    if best_cost is None:
+def _chains(*chains: Sequence[Tour]) -> tuple[list[Tour], list[int]]:
+    """Concatenate unit chains; each unit must follow its predecessor."""
+    units: list[Tour] = []
+    after: list[int] = []
+    for chain in chains:
+        for i, unit in enumerate(chain):
+            after.append(len(units) - 1 if i else -1)
+            units.append(unit)
+    return units, after
+
+
+def _cheapest(net: RoadNetwork, t: int, vehicle: Vehicle,
+              units: Sequence[Tour], after: Sequence[int],
+              requests_by_id: Mapping[int, Request]) -> PlanResult:
+    """Cheapest feasible order of ``units`` from the vehicle's position;
+    ``after[k]`` is the unit that must precede unit ``k``, or -1."""
+    n = len(units)
+    if n == 0:
+        return PlanResult(True, 0, ())
+    # per stop: (node, deadline, load change); PICKUP is +1, DROPOFF -1
+    legs = [[(s.node, requests_by_id[s.request_id].q_r if s.kind == PICKUP
+              else requests_by_id[s.request_id].l_r, s.kind) for s in unit]
+            for unit in units]
+    rows: dict[int, Mapping[int, int]] = {}
+    capacity = vehicle.capacity
+    node, clock = vehicle.location, max(t, vehicle.ready_at)
+    load = len(vehicle.onboard)
+    placed = [False] * n
+    order: list[int] = []  # unit indices on the current branch
+    saved: list[tuple[int, int, int]] = []  # (node, clock, load) before each
+    limit = math.inf  # completion time of the best tour so far
+    best: list[int] | None = None
+    k = 0
+    while True:
+        while k < n:  # find the next unit, from k up, that fits here
+            if not placed[k] and (after[k] < 0 or placed[after[k]]):
+                at, c, ld = node, clock, load
+                for stop_node, deadline, delta in legs[k]:
+                    row = rows.get(at)
+                    if row is None:
+                        row = rows[at] = net.travel_times_from(at)
+                    leg = row.get(stop_node)
+                    if leg is None:
+                        break
+                    c += leg
+                    ld += delta
+                    if c > deadline or c >= limit or ld > capacity:
+                        break
+                    at = stop_node
+                else:  # every stop of unit k fits
+                    break
+            k += 1
+        if k < n:  # place unit k and go one level deeper
+            placed[k] = True
+            order.append(k)
+            saved.append((node, clock, load))
+            node, clock, load = at, c, ld
+            if len(order) < n:
+                k = 0
+                continue
+            limit, best = clock, list(order)
+        if not order:
+            break
+        k = order.pop()  # take the last unit back, try the ones after it
+        placed[k] = False
+        node, clock, load = saved.pop()
+        k += 1
+    if best is None:
         return INFEASIBLE
-    return PlanResult(True, best_cost, best_tour)
+    return PlanResult(True, limit - t,
+                      tuple(s for k in best for s in units[k]))

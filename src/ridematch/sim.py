@@ -326,7 +326,8 @@ def advance(state: SimulationState, until: int) -> None:
     Stops execute with zero dwell at the arrival instant; traversed link
     lengths accumulate on the odometer.  On return any vehicle still
     holding stops is strictly in transit (its next arrival is after
-    ``until``).
+    ``until``).  A committed plan that overfills a vehicle, misses a
+    window, has no route or strands riders raises RuntimeError.
     """
     if until < state.clock:
         raise ValueError("cannot advance backwards")
@@ -341,28 +342,32 @@ def advance(state: SimulationState, until: int) -> None:
                     veh.scheduled.discard(stop.request_id)
                     veh.assigned_requests.discard(stop.request_id)
                     veh.onboard.add(stop.request_id)
-                    assert len(veh.onboard) <= veh.capacity, \
-                        f"vehicle {veh.id} over capacity"
-                    assert req.pickup_t <= req.q_r, \
-                        f"request {req.id} picked up after its deadline"
+                    if len(veh.onboard) > veh.capacity:
+                        raise RuntimeError(f"vehicle {veh.id} over capacity")
+                    if req.pickup_t > req.q_r:
+                        raise RuntimeError(
+                            f"request {req.id} picked up after its deadline")
                 else:
                     req.set_status(SERVED)
                     req.dropoff_t = veh.ready_at
                     veh.onboard.discard(stop.request_id)
-                    assert req.dropoff_t <= req.l_r, \
-                        f"request {req.id} dropped off after its deadline"
+                    if req.dropoff_t > req.l_r:
+                        raise RuntimeError(
+                            f"request {req.id} dropped off after its deadline")
                 veh.tour = veh.tour[1:]
                 veh.revision += 1
             else:
                 path = state.net.shortest_path(veh.location, stop.node)
-                assert path is not None, "committed tour has unreachable stop"
+                if path is None:
+                    raise RuntimeError("committed tour has unreachable stop")
                 link = state.net.link(veh.location, path[1])
                 veh.location = link.dst
                 veh.ready_at += link.travel_time_s
                 veh.odometer_m += link.length_m
                 veh.drive_time_s += link.travel_time_s
-        assert veh.tour or not veh.onboard, \
-            f"vehicle {veh.id} idle with passengers aboard"
+        if veh.onboard and not veh.tour:
+            raise RuntimeError(
+                f"vehicle {veh.id} idle with passengers aboard")
     state.clock = until
 
 

@@ -2,11 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines.  The heavyweight 50-scenario batch is computed once per session
-and shared by the invariant and termination-bound checks.
+and shared by the invariant, pinned trip-log and termination-bound
+checks.
 """
 
+import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,17 @@ def verdict(label: str, ok: bool, detail: str = "") -> None:
 
 
 # --- shared scenario batches -------------------------------------------------
+
+# SHA-256 of the trip log of every batch_config(seed) and of each config in
+# test_reruns_are_byte_identical.  A rewrite of pricing or matching must
+# keep them; only a deliberate change of results may re-record them.
+PINNED = json.loads(
+    Path(__file__).with_name("pinned_trip_logs.json").read_text())
+
+
+def trip_log_sha256(trip_records, path) -> str:
+    write_trip_log(path, trip_records)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def batch_config(seed: int):
@@ -320,8 +335,21 @@ def test_reruns_are_byte_identical(tmp_path):
             path = tmp_path / f"spot{i}_{attempt}.csv"
             write_trip_log(path, result.trip_records)
             logs.append(path.read_bytes())
-        ok = ok and logs[0] == logs[1]
-    verdict("determinism spot checks", ok, "3 configs re-run byte-identical")
+        ok = (ok and logs[0] == logs[1]
+              and hashlib.sha256(logs[0]).hexdigest() == PINNED["spots"][i])
+    verdict("determinism spot checks", ok,
+            "3 configs re-run byte-identical to the pinned trip logs")
+
+
+def test_trip_logs_match_pinned_hashes(scenario_batch, tmp_path):
+    """Every batch scenario reproduces its recorded trip log exactly."""
+    changed = [idx for idx, result in enumerate(scenario_batch)
+               if trip_log_sha256(result.trip_records,
+                                  tmp_path / f"batch{idx}.csv")
+               != PINNED["batch"][idx]]
+    verdict("pinned trip logs", not changed,
+            f"{len(scenario_batch)} scenarios, {len(changed)} changed"
+            + (f"; first: seed {changed[0]}" if changed else ""))
 
 
 def test_merge_loop_round_bound(scenario_batch):

@@ -1,20 +1,48 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from ridematch.model import DROPOFF, PICKUP, Stop
-from ridematch.scheduling import (evaluate_tour, exhaustive_candidates,
-                                  insertion_candidates, path_cost,
-                                  split_merge_candidates, split_merge_cost,
+from ridematch.scheduling import (evaluate_tour, path_cost, split_merge_cost,
                                   split_tour, tour_schedule)
 
 from conftest import dropoff, make_request, make_vehicle, pickup
 from instance_gen import (donor_vehicle, random_request, vehicle_with_plan,
                           windows_of)
 from oracles import (all_block_merges, all_orderings, all_pair_insertions,
-                     best_plan, plan_arrivals, travel_times)
+                     best_plan, plan_arrivals, precedence_valid, travel_times)
 
 
 def by_id(requests):
     return {r.id: r for r in requests}
+
+
+def block_at(tour, block):
+    """Index where ``block`` occurs contiguously in ``tour``, or -1."""
+    for i in range(len(tour) - len(block) + 1):
+        if tour[i:i + len(block)] == block:
+            return i
+    return -1
+
+
+def first_optimum_ties(plan, times, veh, candidates, windows):
+    """Check that ``plan`` is the first optimal candidate in enumeration
+    order; return how many candidates share its cost (0 if none is
+    feasible)."""
+    candidates = list(candidates)
+    costs = []
+    for cand in candidates:
+        arr = plan_arrivals(times, veh.location, max(0, veh.ready_at), cand,
+                            len(veh.onboard), veh.capacity, windows)
+        costs.append(None if arr is None else arr[-1] if arr else 0)
+    feasible = [c for c in costs if c is not None]
+    if not feasible:
+        assert not plan.feasible
+        return 0
+    optimum = min(feasible)
+    assert plan.feasible and plan.cost == optimum
+    assert plan.tour == candidates[costs.index(optimum)]
+    return feasible.count(optimum)
 
 
 class TestTourSchedule:
@@ -83,21 +111,45 @@ class TestEvaluateTour:
 
 
 class TestCandidateGenerators:
-    def test_insertion_count_and_order_preserved(self):
-        tour = (pickup(1, 1), dropoff(1, 3), dropoff(2, 4))
-        cands = list(insertion_candidates(tour, pickup(9, 0), dropoff(9, 2)))
-        # L=3: sum over i of (L+1-i) = 4+3+2+1
-        assert len(cands) == 10
-        for cand in cands:
-            rest = [s for s in cand if s.request_id != 9]
-            assert tuple(rest) == tour
+    """Shapes of the plans that pricing returns."""
 
-    def test_exhaustive_respects_precedence(self):
-        tour = (dropoff(7, 2),)  # onboard rider
-        cands = list(exhaustive_candidates(tour, pickup(9, 0), dropoff(9, 3)))
-        assert len(cands) == 3  # 3 interleavings of D7 with P9<D9
-        for cand in cands:
-            assert cand.index(pickup(9, 0)) < cand.index(dropoff(9, 3))
+    def test_insertion_keeps_existing_order(self, grid3):
+        rng = random.Random(12)
+        checked = 0
+        for trial in range(60):
+            veh, existing = vehicle_with_plan(rng, grid3, rng.randrange(3, 5),
+                                              t=0, capacity=6, vid=0)
+            new = random_request(rng, grid3, 9, t=0)
+            plan = path_cost(grid3, 0, veh, new, by_id(existing))
+            if not plan.feasible:
+                continue
+            rest = tuple(s for s in plan.tour if s.request_id != 9)
+            assert rest == veh.tour
+            assert plan.tour.index(Stop(PICKUP, 9, new.origin)) \
+                < plan.tour.index(Stop(DROPOFF, 9, new.destination))
+            checked += 1
+        assert checked >= 10
+
+    def test_exhaustive_respects_precedence(self, line_net, grid3):
+        # onboard rider 7 is dropped at 4; rider 9 rides 0 -> 1 first
+        r7 = make_request(7, 0, 0, 4, 600, line_net)
+        r9 = make_request(9, 0, 0, 1, 300, line_net)
+        veh = make_vehicle(0, 0, tour=(dropoff(7, 4),))
+        veh.onboard = {7}
+        plan = path_cost(line_net, 0, veh, r9, by_id([r7]))
+        assert plan.tour == (pickup(9, 0), dropoff(9, 1), dropoff(7, 4))
+        rng = random.Random(13)
+        for trial in range(60):
+            veh, existing = vehicle_with_plan(rng, grid3, rng.randrange(0, 3),
+                                              t=0, capacity=4, vid=0)
+            new = random_request(rng, grid3, 9, t=0)
+            plan = path_cost(grid3, 0, veh, new, by_id(existing))
+            if not plan.feasible:
+                continue
+            pair = (Stop(PICKUP, 9, new.origin),
+                    Stop(DROPOFF, 9, new.destination))
+            assert sorted(plan.tour) == sorted(veh.tour + pair)
+            assert precedence_valid(plan.tour, veh.onboard)
 
     def test_split_points(self):
         a, b, c, d = pickup(1, 0), dropoff(1, 1), pickup(2, 2), dropoff(2, 3)
@@ -106,19 +158,28 @@ class TestCandidateGenerators:
         assert split_tour((a, b, c)) == ((a, b), (c,))
         assert split_tour((a, b, c, d)) == ((a, b), (c, d))
 
-    def test_merge_blocks_stay_contiguous(self):
-        rt = (pickup(1, 5), dropoff(1, 6))
-        p1 = (pickup(2, 7),)
-        p2 = (dropoff(2, 8),)
-        cands = list(split_merge_candidates(rt, p1, p2))
-        # i in 0..2, j from i+1..3: 3+2+... = 6... enumerate directly
-        assert len(cands) == len(all_block_merges(rt, p1, p2))
-        for cand in cands:
-            i = cand.index(p1[0])
-            j = cand.index(p2[0])
-            assert i < j
-            rest = [s for s in cand if s.request_id == 1]
-            assert tuple(rest) == rt
+    def test_merge_blocks_stay_contiguous(self, grid3):
+        rng = random.Random(14)
+        checked = 0
+        for trial in range(60):
+            donor, d_reqs = donor_vehicle(rng, grid3, rng.randrange(1, 3),
+                                          t=0, vid=1, base_rid=500)
+            recipient, r_reqs = vehicle_with_plan(
+                rng, grid3, rng.randrange(1, 4), t=0, capacity=6, vid=2,
+                base_rid=100)
+            plan = split_merge_cost(grid3, 0, donor, recipient,
+                                    by_id(d_reqs + r_reqs))
+            if not plan.feasible:
+                continue
+            part1, part2 = split_tour(donor.tour)
+            i = block_at(plan.tour, part1)
+            j = block_at(plan.tour, part2)
+            assert 0 <= i and i + len(part1) <= j
+            rest = plan.tour[:i] + plan.tour[i + len(part1):j] \
+                + plan.tour[j + len(part2):]
+            assert rest == recipient.tour
+            checked += 1
+        assert checked >= 10
 
 
 class TestPathCost:
@@ -206,23 +267,34 @@ class TestPathCost:
     def test_tie_keeps_first_insertion_slot(self, grid3):
         rng = random.Random(55)
         times = travel_times(grid3)
+        ties = 0
         for trial in range(40):
             veh, existing = vehicle_with_plan(rng, grid3, 3, t=0,
                                               capacity=6, vid=0)
             new = random_request(rng, grid3, 9, t=0)
             plan = path_cost(grid3, 0, veh, new, by_id(existing))
-            if not plan.feasible:
-                continue
-            windows = windows_of(existing + [new])
-            for cand in all_pair_insertions(veh.tour,
-                                            Stop(PICKUP, 9, new.origin),
-                                            Stop(DROPOFF, 9, new.destination)):
-                arr = plan_arrivals(times, veh.location,
-                                    max(0, veh.ready_at), cand,
-                                    len(veh.onboard), veh.capacity, windows)
-                if arr is not None and arr[-1] - 0 == plan.cost:
-                    assert cand == plan.tour  # first optimum wins
-                    break
+            cands = all_pair_insertions(veh.tour,
+                                        Stop(PICKUP, 9, new.origin),
+                                        Stop(DROPOFF, 9, new.destination))
+            ties += first_optimum_ties(plan, times, veh, cands,
+                                       windows_of(existing + [new])) > 1
+        assert ties >= 10
+
+    def test_tie_keeps_first_ordering(self, grid3):
+        rng = random.Random(56)
+        times = travel_times(grid3)
+        ties = 0
+        for trial in range(60):
+            veh, existing = vehicle_with_plan(rng, grid3, rng.randrange(0, 3),
+                                              t=0, capacity=4, vid=0)
+            new = random_request(rng, grid3, 9, t=0)
+            plan = path_cost(grid3, 0, veh, new, by_id(existing))
+            stops = list(veh.tour) + [Stop(PICKUP, 9, new.origin),
+                                      Stop(DROPOFF, 9, new.destination)]
+            ties += first_optimum_ties(plan, times, veh,
+                                       all_orderings(stops, veh.onboard),
+                                       windows_of(existing + [new])) > 1
+        assert ties >= 10
 
 
 class TestSplitMergeCost:
@@ -272,6 +344,23 @@ class TestSplitMergeCost:
                 assert arr is not None  # independent revalidation
         assert feasible_seen >= 10
 
+    def test_tie_keeps_first_block_merge(self, grid3):
+        rng = random.Random(78)
+        times = travel_times(grid3)
+        ties = 0
+        for trial in range(60):
+            donor, d_reqs = donor_vehicle(rng, grid3, rng.randrange(1, 3),
+                                          t=0, vid=1, base_rid=500)
+            recipient, r_reqs = vehicle_with_plan(
+                rng, grid3, rng.randrange(1, 4), t=0, capacity=6, vid=2,
+                base_rid=100)
+            plan = split_merge_cost(grid3, 0, donor, recipient,
+                                    by_id(d_reqs + r_reqs))
+            cands = all_block_merges(recipient.tour, *split_tour(donor.tour))
+            ties += first_optimum_ties(plan, times, recipient, cands,
+                                       windows_of(d_reqs + r_reqs)) > 1
+        assert ties >= 10
+
     def test_infeasible_when_recipient_lacks_seats(self, line_net):
         reqs = [make_request(i, 0, 0, 2, 600, line_net) for i in (1, 2, 3)]
         donor = make_vehicle(1, 0, capacity=4,
@@ -289,3 +378,46 @@ class TestSplitMergeCost:
             arr = plan_arrivals(travel_times(line_net), 0, 0, plan.tour, 0,
                                 1, windows_of(reqs))
             assert arr is not None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), merge=st.booleans(),
+       n=st.integers(0, 4), capacity=st.integers(2, 6))
+def test_pricing_returns_first_optimum(grid3, seed, merge, n, capacity):
+    """On random grid3 instances the returned tour re-prices through
+    evaluate_tour to the returned cost and is the oracle's first optimum."""
+    rng = random.Random(seed)
+    times = travel_times(grid3)
+    if merge:
+        donor, d_reqs = donor_vehicle(rng, grid3, 1 + n % 2, t=0, vid=1,
+                                      base_rid=500, max_tries=2000)
+        veh, existing = vehicle_with_plan(rng, grid3, 1 + n % 3, t=0,
+                                          capacity=capacity, vid=2,
+                                          base_rid=100, max_tries=2000)
+        lookup = by_id(d_reqs + existing)
+        plan = split_merge_cost(grid3, 0, donor, veh, lookup)
+        cands = all_block_merges(veh.tour, *split_tour(donor.tour))
+    else:
+        veh, existing = vehicle_with_plan(rng, grid3, n, t=0,
+                                          capacity=capacity, vid=0,
+                                          max_tries=2000)
+        new = random_request(rng, grid3, 9, t=0)
+        lookup = by_id(existing + [new])
+        plan = path_cost(grid3, 0, veh, new, by_id(existing))
+        if veh.available_capacity < 1:  # every seat already promised
+            assert not plan.feasible
+            return
+        pair = (Stop(PICKUP, 9, new.origin), Stop(DROPOFF, 9, new.destination))
+        cands = (all_orderings(list(veh.tour + pair), veh.onboard) if n <= 2
+                 else all_pair_insertions(veh.tour, *pair))
+    depart = max(0, veh.ready_at)
+    oracle_cost, oracle_tour = best_plan(
+        times, 0, veh.location, depart, cands, len(veh.onboard),
+        veh.capacity, {rid: (r.q_r, r.l_r) for rid, r in lookup.items()})
+    if oracle_cost is None:
+        assert plan == (False, None, None)
+        return
+    assert plan.feasible and plan.tour == oracle_tour
+    repriced = evaluate_tour(grid3, 0, veh.location, depart, plan.tour,
+                             len(veh.onboard), veh.capacity, lookup)
+    assert repriced is not None and repriced[0] == plan.cost == oracle_cost

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -251,8 +254,34 @@ class TestAdvance:
         with pytest.raises(ValueError):
             advance(state, 99)
 
+    def test_late_committed_stop_raises(self, line_net):
+        req = make_request(1, 0, 4, 0, 30, line_net)  # pickup due by 30
+        req.status = "assigned"
+        veh = make_vehicle(0, 0, tour=(pickup(1, 4), dropoff(1, 0)),
+                           scheduled={1})  # 240 s from the pickup node
+        state = self.state(line_net, [veh], [req])
+        with pytest.raises(RuntimeError, match="after its deadline"):
+            advance(state, 600)
+
 
 class TestRunScenario:
+    def test_optimized_interpreter_same_trip_log(self, tmp_path):
+        # invariants are real exceptions, so python -O runs the same code
+        script = (
+            "import hashlib, sys\n"
+            "from ridematch.sim import commuter_config, run_scenario, "
+            "write_trip_log\n"
+            "write_trip_log(sys.argv[1], "
+            "run_scenario(commuter_config(seed=3)).trip_records)\n")
+        optimized = tmp_path / "optimized.csv"
+        subprocess.run([sys.executable, "-O", "-c", script, str(optimized)],
+                       check=True, timeout=120)
+        normal = tmp_path / "normal.csv"
+        write_trip_log(normal,
+                       run_scenario(commuter_config(seed=3)).trip_records)
+        assert hashlib.sha256(optimized.read_bytes()).hexdigest() \
+            == hashlib.sha256(normal.read_bytes()).hexdigest()
+
     def test_zero_demand_sentinel(self):
         cfg = ScenarioConfig.from_dict(minimal_doc(
             demand={"kind": "uniform", "requests_per_hour": 0}))
