@@ -13,7 +13,7 @@ from .model import (ASSIGNED, DROPOFF, EXPIRED, ONBOARD, PENDING, PICKUP,
 from .network import (Link, NetworkFormatError, RoadNetwork, grid_network,
                       load_network)
 from .scheduling import (PlanResult, evaluate_tour, path_cost,
-                         split_merge_cost, split_tour, tour_schedule)
+                         split_merge_cost, split_tour)
 from .sim import (ConfigError, RunResult, ScenarioConfig, SimulationState,
                   advance, build_network, commuter_config, example_config,
                   generate_demand, initialize_fleet, run_scenario,
@@ -38,5 +38,5 @@ __all__ = [
     "gmomatch_update", "grid_network", "initialize_fleet", "load_network",
     "make_request", "path_cost", "run_scenario", "select_merges",
     "solve_assignment", "split_merge_cost", "split_tour", "step2_loop",
-    "tour_schedule", "write_trip_log",
+    "write_trip_log",
 ]

@@ -43,10 +43,10 @@ def feasible_vehicles(net: RoadNetwork, request: Request,
     """Vehicles with a free seat that can reach the origin within ``f_r``.
 
     The reachability test uses the vehicle's current network position;
-    vehicles are returned in id order.
+    vehicles are returned in the order given.
     """
     out = []
-    for v in sorted(vehicles, key=lambda v: v.id):
+    for v in vehicles:
         if v.available_capacity < 1:
             continue
         approach = net.shortest_travel_time(v.location, request.origin)
@@ -58,12 +58,17 @@ def feasible_vehicles(net: RoadNetwork, request: Request,
 def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
                     vehicles: Sequence[Vehicle],
                     requests_by_id: Mapping[int, Request]) -> BipartiteGraph:
-    """Price every candidate request/vehicle pair at update time ``t``."""
+    """Price every candidate request/vehicle pair at update time ``t``.
+
+    Requests are priced, and each request's candidate vehicles listed, in
+    id order.
+    """
     edges: list[Edge] = []
     feasible_sets: dict[int, tuple[int, ...]] = {}
     ordered_requests = sorted(requests, key=lambda r: r.id)
+    ordered_vehicles = sorted(vehicles, key=lambda v: v.id)
     for req in ordered_requests:
-        candidates = feasible_vehicles(net, req, vehicles)
+        candidates = feasible_vehicles(net, req, ordered_vehicles)
         feasible_sets[req.id] = tuple(v.id for v in candidates)
         for veh in candidates:
             plan = path_cost(net, t, veh, req, requests_by_id)
@@ -71,7 +76,7 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
                 edges.append(Edge(req.id, veh.id, plan.cost, plan.tour))
     return BipartiteGraph(
         requests=tuple(r.id for r in ordered_requests),
-        vehicles=tuple(sorted(v.id for v in vehicles)),
+        vehicles=tuple(v.id for v in ordered_vehicles),
         edges=tuple(edges),
         feasible_sets=feasible_sets,
     )

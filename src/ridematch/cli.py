@@ -19,9 +19,10 @@ from pathlib import Path
 from . import __version__
 from .metrics import (MetricsReport, compute_metrics, format_summary,
                       metrics_header, metrics_row)
-from .network import NetworkFormatError
+from .network import NetworkFormatError, read_json
 from .sim import (ConfigError, ScenarioConfig, build_network,
-                  check_demand_reachability, run_scenario, write_trip_log)
+                  check_demand_reachability, check_number, run_scenario,
+                  write_trip_log)
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -33,13 +34,7 @@ DEFAULT_MAX_RUNS = 1000
 
 def _load_config(path: str | Path) -> ScenarioConfig:
     """Read a scenario config, accepting run manifests transparently."""
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
+    doc = read_json(path, ConfigError, "config file")
     if isinstance(doc, dict) and "config" in doc and "artifact" in doc:
         doc = doc["config"]
     return ScenarioConfig.from_dict(doc)
@@ -154,13 +149,7 @@ def _is_nan(v) -> bool:
 
 
 def _load_sweep_spec(path: str | Path) -> tuple[ScenarioConfig, dict, list, int]:
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep spec {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
+    doc = read_json(path, ConfigError, "sweep spec")
     if not isinstance(doc, dict):
         raise ConfigError("sweep spec must be a JSON object")
     unknown = set(doc) - {"base", "axes", "seeds", "max_runs"}
@@ -183,7 +172,8 @@ def _load_sweep_spec(path: str | Path) -> tuple[ScenarioConfig, dict, list, int]
     if not isinstance(seeds, list) or not seeds \
             or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("seeds must be a non-empty list of integers")
-    max_runs = doc.get("max_runs", DEFAULT_MAX_RUNS)
+    max_runs = check_number(doc.get("max_runs", DEFAULT_MAX_RUNS),
+                            "max_runs", 1)
     return base, axes, seeds, max_runs
 
 

@@ -57,20 +57,14 @@ def commit_matches(t: int, matches: Sequence[Edge],
         req = requests_by_id[edge.request_id]
         veh.tour = edge.tour
         veh.scheduled.add(edge.request_id)
-        veh.assigned_requests.add(edge.request_id)
         veh.ready_at = max(veh.ready_at, t)
-        veh.revision += 1
         req.set_status(ASSIGNED)
         req.vehicle_id = veh.id
         req.assign_t = t
 
 
 def _begin_update(t: int, pending: Sequence[Request],
-                  vehicles: Sequence[Vehicle],
                   outcome: UpdateOutcome) -> list[Request]:
-    # assignment epochs are per update: forget last update's R_v
-    for veh in vehicles:
-        veh.assigned_requests.clear()
     outcome.expired = expire_overdue(t, pending)
     return sorted((r for r in pending if r.status == PENDING),
                   key=lambda r: r.id)
@@ -87,7 +81,7 @@ def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
     request is matched or no priced edge remains.
     """
     outcome = UpdateOutcome()
-    remaining = _begin_update(t, pending, vehicles, outcome)
+    remaining = _begin_update(t, pending, outcome)
     vehicles_by_id = {v.id: v for v in vehicles}
     feasible_index: dict[int, tuple[int, ...]] = {}
     while remaining:
@@ -121,7 +115,7 @@ def baseline_update(net: RoadNetwork, t: int, pending: Sequence[Request],
                     requests_by_id: Mapping[int, Request]) -> UpdateOutcome:
     """Single assignment round: one new request per vehicle per update."""
     outcome = UpdateOutcome()
-    remaining = _begin_update(t, pending, vehicles, outcome)
+    remaining = _begin_update(t, pending, outcome)
     vehicles_by_id = {v.id: v for v in vehicles}
     if remaining:
         t0 = time.perf_counter()

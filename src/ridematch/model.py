@@ -100,37 +100,16 @@ def make_request(rid: int, t_r: int, origin: int, destination: int,
                    direct_time_s=direct)
 
 
-def flexibility_from_deadline(e_r: int, l_r: int, origin: int,
-                              destination: int, net: RoadNetwork) -> int:
-    """Flexibility implied by an explicit latest-dropoff time.
-
-    Returns ``l_r - e_r - H(O, D)``; raises ValueError when that is
-    negative (the request could never be served on time) or when no route
-    exists.
-    """
-    direct = net.shortest_travel_time(origin, destination)
-    if direct is None:
-        raise ValueError(f"no route from {origin} to {destination}")
-    f_r = l_r - e_r - direct
-    if f_r < 0:
-        raise ValueError(f"window [{e_r}, {l_r}] is tighter than the direct "
-                         f"ride of {direct}s")
-    return f_r
-
-
 @dataclass
 class Vehicle:
     """A fleet vehicle and its current plan.
 
     ``onboard`` holds request ids of passengers in the vehicle,
     ``scheduled`` those assigned but not yet picked up; the union is the
-    occupant set that counts against capacity.  ``assigned_requests`` is
-    the set of requests matched to the vehicle at the current planning
-    epoch and not yet picked up (it tracks ``scheduled`` but is cleared
-    separately when plans move between vehicles).  ``ready_at`` is the
-    earliest time the vehicle can leave ``location``; between stops it is
-    the arrival time at ``location``.  ``revision`` counts plan mutations
-    so stale pricing can be detected.
+    occupant set that counts against capacity.  A scheduled request whose
+    ``assign_t`` is the current update time was assigned in this update.
+    ``ready_at`` is the earliest time the vehicle can leave ``location``;
+    between stops it is the arrival time at ``location``.
     """
 
     id: int
@@ -140,10 +119,8 @@ class Vehicle:
     tour: Tour = ()
     onboard: set[int] = field(default_factory=set)
     scheduled: set[int] = field(default_factory=set)
-    assigned_requests: set[int] = field(default_factory=set)
     odometer_m: float = 0.0
     drive_time_s: int = 0
-    revision: int = 0
 
     @property
     def idle(self) -> bool:

@@ -169,11 +169,28 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+def read_json(path: str | Path, error_cls: type[Exception], what: str):
+    """Parse the JSON file at ``path``.
+
+    A file that cannot be read or decoded raises ``error_cls`` with a
+    one-line message naming ``what`` and the path.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error_cls(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error_cls(f"invalid JSON in {path}: {exc}") from exc
+
+
 def load_network(source: str | Path | dict) -> RoadNetwork:
     """Build a validated RoadNetwork from a JSON document.
 
-    ``source`` may be a path to a JSON file, a JSON string, or an already
-    parsed dict.  The document has the shape::
+    ``source`` is a path to a JSON file (as a string or a Path) or an
+    already parsed dict.  The document has the shape::
 
         {"nodes": [{"id": 0}, ...],
          "links": [{"from": 0, "to": 1, "length_m": 400.0,
@@ -185,15 +202,7 @@ def load_network(source: str | Path | dict) -> RoadNetwork:
     if isinstance(source, dict):
         doc = source
     else:
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise NetworkFormatError(f"cannot read network file {path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(f"invalid JSON in {path}: {exc}") from exc
+        doc = read_json(source, NetworkFormatError, "network file")
     if not isinstance(doc, dict):
         raise NetworkFormatError("network document must be a JSON object")
     extra = set(doc) - {"nodes", "links"}
@@ -201,6 +210,8 @@ def load_network(source: str | Path | dict) -> RoadNetwork:
         raise NetworkFormatError(f"unknown top-level fields: {sorted(extra)}")
     if "nodes" not in doc or "links" not in doc:
         raise NetworkFormatError("network document needs 'nodes' and 'links'")
+    if not (isinstance(doc["nodes"], list) and isinstance(doc["links"], list)):
+        raise NetworkFormatError("network 'nodes' and 'links' must be lists")
 
     nodes: list[int] = []
     seen: set[int] = set()

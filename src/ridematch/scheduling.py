@@ -33,25 +33,6 @@ class PlanResult(NamedTuple):
 INFEASIBLE = PlanResult(False, None, None)
 
 
-def tour_schedule(net: RoadNetwork, start_node: int, depart_t: int,
-                  tour: Tour) -> tuple[tuple[int, ...], int] | None:
-    """Arrival times at each stop, ignoring windows and capacity.
-
-    Returns ``(arrivals, completion_time)`` with zero dwell at stops, or
-    None when some leg has no route.
-    """
-    arrivals = []
-    node, clock = start_node, depart_t
-    for stop in tour:
-        leg = net.shortest_travel_time(node, stop.node)
-        if leg is None:
-            return None
-        clock += leg
-        arrivals.append(clock)
-        node = stop.node
-    return tuple(arrivals), clock
-
-
 def evaluate_tour(net: RoadNetwork, t: int, start_node: int, depart_t: int,
                   tour: Tour, onboard_count: int, capacity: int,
                   requests_by_id: Mapping[int, Request],

@@ -11,7 +11,7 @@ request is served or expired and every tour is finished.
 from __future__ import annotations
 
 import csv
-import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +22,8 @@ import numpy as np
 from .engine import MATCHERS, UpdateOutcome
 from .model import (ONBOARD, PENDING, SERVED, PICKUP, Request, Vehicle,
                     make_request)
-from .network import NetworkFormatError, RoadNetwork, grid_network, load_network
+from .network import (NetworkFormatError, RoadNetwork, grid_network,
+                      load_network, read_json)
 
 
 class ConfigError(ValueError):
@@ -63,29 +64,20 @@ class ScenarioConfig:
         cfg = ScenarioConfig(
             network=doc["network"],
             demand=doc["demand"],
-            loading_period_s=_int_field(doc, "loading_period_s"),
-            fleet_size=_int_field(doc, "fleet_size"),
-            capacity=_int_field(doc, "capacity"),
-            flexibility_s=_int_field(doc, "flexibility_s"),
-            update_interval_s=_int_field(doc, "update_interval_s"),
-            matcher=doc.get("matcher", "gmomatch"),
-            seed=_int_field(doc, "seed") if "seed" in doc else 0,
+            loading_period_s=check_number(doc["loading_period_s"],
+                                          "loading_period_s", 0),
+            fleet_size=check_number(doc["fleet_size"], "fleet_size", 1),
+            capacity=check_number(doc["capacity"], "capacity", 1),
+            flexibility_s=check_number(doc["flexibility_s"],
+                                       "flexibility_s", 0),
+            update_interval_s=check_number(doc["update_interval_s"],
+                                           "update_interval_s", 1),
+            matcher=_choice(doc.get("matcher", "gmomatch"), "matcher",
+                            MATCHERS),
+            seed=check_number(doc.get("seed", 0), "seed", 0),
         )
         cfg._check()
         return cfg
-
-    @staticmethod
-    def from_file(path: str | Path) -> "ScenarioConfig":
-        p = Path(path)
-        try:
-            text = p.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {p}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
-        return ScenarioConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
         return {
@@ -106,25 +98,10 @@ class ScenarioConfig:
         return ScenarioConfig.from_dict(doc)
 
     def _check(self) -> None:
-        if self.update_interval_s <= 0:
-            raise ConfigError("update_interval_s must be > 0")
-        if self.capacity < 1:
-            raise ConfigError("capacity must be >= 1")
-        if self.flexibility_s < 0:
-            raise ConfigError("flexibility_s must be >= 0")
-        if self.fleet_size < 1:
-            raise ConfigError("fleet_size must be >= 1")
-        if self.loading_period_s < 0:
-            raise ConfigError("loading_period_s must be >= 0")
-        if self.matcher not in MATCHERS:
-            raise ConfigError(f"matcher must be one of {sorted(MATCHERS)}, "
-                              f"got {self.matcher!r}")
         if not isinstance(self.network, dict):
             raise ConfigError("network must be an object")
-        kind = self.network.get("kind")
-        if kind not in _NETWORK_KINDS:
-            raise ConfigError(f"network.kind must be one of "
-                              f"{sorted(_NETWORK_KINDS)}, got {kind!r}")
+        kind = _choice(self.network.get("kind"), "network.kind",
+                       _NETWORK_KINDS)
         if kind == "grid":
             extra = set(self.network) - {"kind", "rows", "cols",
                                          "link_length_m", "link_travel_time_s"}
@@ -132,18 +109,21 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown network fields: {sorted(extra)}")
             if not ("rows" in self.network and "cols" in self.network):
                 raise ConfigError("grid network needs 'rows' and 'cols'")
+            check_number(self.network["rows"], "network.rows", 1)
+            check_number(self.network["cols"], "network.cols", 1)
+            check_number(self.network.get("link_length_m", 400.0),
+                         "network.link_length_m", 0, integer=False)
+            check_number(self.network.get("link_travel_time_s", 40),
+                         "network.link_travel_time_s", 1)
         else:
             extra = set(self.network) - {"kind", "path"}
             if extra:
                 raise ConfigError(f"unknown network fields: {sorted(extra)}")
-            if "path" not in self.network:
-                raise ConfigError("file network needs 'path'")
+            if not isinstance(self.network.get("path"), str):
+                raise ConfigError("file network needs a 'path' string")
         if not isinstance(self.demand, dict):
             raise ConfigError("demand must be an object")
-        dkind = self.demand.get("kind")
-        if dkind not in _DEMAND_KINDS:
-            raise ConfigError(f"demand.kind must be one of "
-                              f"{sorted(_DEMAND_KINDS)}, got {dkind!r}")
+        dkind = _choice(self.demand.get("kind"), "demand.kind", _DEMAND_KINDS)
         if dkind == "poisson":
             extra = set(self.demand) - {"kind", "od_rates", "scale"}
             if extra:
@@ -155,8 +135,10 @@ class ScenarioConfig:
                 if (not isinstance(rec, dict)
                         or set(rec) != {"origin", "destination", "rate_per_hour"}):
                     raise ConfigError(f"bad od_rates entry: {rec!r}")
-                if rec["rate_per_hour"] < 0:
-                    raise ConfigError("rate_per_hour must be >= 0")
+                check_number(rec["rate_per_hour"], "rate_per_hour", 0,
+                             integer=False)
+                check_number(rec["origin"], "od_rates origin")
+                check_number(rec["destination"], "od_rates destination")
                 if rec["origin"] == rec["destination"]:
                     raise ConfigError("od_rates origin must differ from destination")
         elif dkind == "uniform":
@@ -165,23 +147,38 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown demand fields: {sorted(extra)}")
             if "requests_per_hour" not in self.demand:
                 raise ConfigError("uniform demand needs 'requests_per_hour'")
-            if self.demand["requests_per_hour"] < 0:
-                raise ConfigError("requests_per_hour must be >= 0")
+            check_number(self.demand["requests_per_hour"],
+                         "requests_per_hour", 0, integer=False)
         else:
             extra = set(self.demand) - {"kind", "path"}
             if extra:
                 raise ConfigError(f"unknown demand fields: {sorted(extra)}")
-            if "path" not in self.demand:
-                raise ConfigError("file demand needs 'path'")
-        if "scale" in self.demand and self.demand["scale"] < 0:
-            raise ConfigError("demand scale must be >= 0")
+            if not isinstance(self.demand.get("path"), str):
+                raise ConfigError("file demand needs a 'path' string")
+        check_number(self.demand.get("scale", 1.0), "demand.scale", 0,
+                     integer=False)
 
 
-def _int_field(doc: dict, name: str) -> int:
-    v = doc.get(name)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{name} must be an integer, got {v!r}")
-    return v
+def check_number(value, name: str, minimum: float | None = None,
+                 integer: bool = True):
+    """Return ``value`` if it is a finite JSON number (an integer when
+    ``integer``) of at least ``minimum``; raise ConfigError otherwise."""
+    # type() rather than isinstance(): a bool is not a number here
+    if type(value) is int or (not integer and type(value) is float
+                              and -math.inf < value < math.inf):
+        if minimum is None or value >= minimum:
+            return value
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    what = "an integer" if integer else "a number"
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def _choice(value, name: str, allowed) -> str:
+    """Return ``value`` if it is one of the strings in ``allowed``."""
+    if not isinstance(value, str) or value not in allowed:
+        raise ConfigError(f"{name} must be one of {sorted(allowed)}, "
+                          f"got {value!r}")
+    return value
 
 
 def build_network(config: ScenarioConfig) -> RoadNetwork:
@@ -256,24 +253,20 @@ def load_requests(path: Path, config: ScenarioConfig,
     "flexibility_s": s?}, ...]}`` where flexibility defaults to the
     scenario value.  Ids follow announcement order.
     """
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read request file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"requests"}:
+    doc = read_json(path, ConfigError, "request file")
+    if not isinstance(doc, dict) or set(doc) != {"requests"} \
+            or not isinstance(doc["requests"], list):
         raise ConfigError("request file must be {\"requests\": [...]}")
     rows = []
+    required = {"t_r", "origin", "destination"}
+    allowed = required | {"flexibility_s"}
     for rec in doc["requests"]:
-        allowed = {"t_r", "origin", "destination", "flexibility_s"}
-        if not isinstance(rec, dict) or not set(rec) <= allowed:
+        if not isinstance(rec, dict) or not rec.keys() <= allowed:
             raise ConfigError(f"bad request record: {rec!r}")
-        for need in ("t_r", "origin", "destination"):
-            if need not in rec:
-                raise ConfigError(f"request record missing {need!r}: {rec!r}")
-        if rec["t_r"] < 0:
-            raise ConfigError("request t_r must be >= 0")
+        if not required <= rec.keys():
+            raise ConfigError(f"request record missing "
+                              f"{sorted(required - rec.keys())}: {rec!r}")
+        check_number(rec["t_r"], "request t_r", 0)
         if rec["origin"] == rec["destination"]:
             raise ConfigError("request origin must differ from destination")
         rows.append(rec)
@@ -284,7 +277,7 @@ def load_requests(path: Path, config: ScenarioConfig,
         try:
             out.append(make_request(rid, rec["t_r"], rec["origin"],
                                     rec["destination"], flex, net))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # bad node or flex
             raise ConfigError(f"bad request record {rec!r}: {exc}") from exc
     return out
 
@@ -340,7 +333,6 @@ def advance(state: SimulationState, until: int) -> None:
                     req.set_status(ONBOARD)
                     req.pickup_t = veh.ready_at
                     veh.scheduled.discard(stop.request_id)
-                    veh.assigned_requests.discard(stop.request_id)
                     veh.onboard.add(stop.request_id)
                     if len(veh.onboard) > veh.capacity:
                         raise RuntimeError(f"vehicle {veh.id} over capacity")
@@ -355,7 +347,6 @@ def advance(state: SimulationState, until: int) -> None:
                         raise RuntimeError(
                             f"request {req.id} dropped off after its deadline")
                 veh.tour = veh.tour[1:]
-                veh.revision += 1
             else:
                 path = state.net.shortest_path(veh.location, stop.node)
                 if path is None:

@@ -28,8 +28,6 @@ class MergeEdge:
     recipient_id: int
     cost: int
     merged_tour: Tour
-    donor_revision: int
-    recipient_revision: int
 
 
 @dataclass(frozen=True)
@@ -47,16 +45,18 @@ class Step2Stats:
     solution_s: float = 0.0
 
 
-def donor_eligible(vehicle: Vehicle) -> bool:
-    """True when the vehicle's entire plan is this update's assignments.
+def donor_eligible(vehicle: Vehicle, t: int,
+                   requests_by_id: Mapping[int, Request]) -> bool:
+    """True when the vehicle's entire plan is assignments made at ``t``.
 
     Such a vehicle was idle before the update, so handing its tour away
     strands nobody: no passengers are aboard and no stop in the tour
     belongs to an earlier commitment.
     """
     return (not vehicle.onboard
-            and bool(vehicle.assigned_requests)
-            and vehicle.scheduled == vehicle.assigned_requests)
+            and bool(vehicle.scheduled)
+            and all(requests_by_id[rid].assign_t == t
+                    for rid in vehicle.scheduled))
 
 
 def build_vehicle_graph(net: RoadNetwork, t: int,
@@ -66,21 +66,26 @@ def build_vehicle_graph(net: RoadNetwork, t: int,
                         ) -> VehicleGraph:
     """Directed merge graph over vehicles assigned work this update.
 
-    ``feasible_index`` maps each request id to the vehicles that passed
-    the reachability filter when the request was matched; a recipient must
-    appear there for at least one of the donor's requests.  An edge also
-    needs the donor to be no more loaded than the recipient, the recipient
-    to have seats for all the donor's requests, and a feasible merged tour.
+    A vehicle is a node when some request it has yet to pick up was
+    assigned at ``t``.  ``feasible_index`` maps each request id to the
+    vehicles that passed the reachability filter when the request was
+    matched; a recipient must appear there for at least one of the donor's
+    requests.  An edge also needs the donor to be no more loaded than the
+    recipient, the recipient to have seats for all the donor's requests,
+    and a feasible merged tour.
     """
-    assigned = sorted((v for v in vehicles if v.assigned_requests),
+    assigned = sorted((v for v in vehicles
+                       if v.scheduled  # most vehicles: no generator built
+                       and any(requests_by_id[rid].assign_t == t
+                               for rid in v.scheduled)),
                       key=lambda v: v.id)
     by_id = {v.id: v for v in assigned}
     edges: list[MergeEdge] = []
     for donor in assigned:
-        if not donor_eligible(donor):
+        if not donor_eligible(donor, t, requests_by_id):
             continue
         reachable: set[int] = set()
-        for rid in donor.assigned_requests:
+        for rid in donor.scheduled:
             reachable.update(feasible_index.get(rid, ()))
         for recipient_id in sorted(reachable):
             if recipient_id == donor.id or recipient_id not in by_id:
@@ -88,13 +93,12 @@ def build_vehicle_graph(net: RoadNetwork, t: int,
             recipient = by_id[recipient_id]
             if donor.occupants > recipient.occupants:
                 continue
-            if len(donor.assigned_requests) > recipient.available_capacity:
+            if len(donor.scheduled) > recipient.available_capacity:
                 continue
             plan = split_merge_cost(net, t, donor, recipient, requests_by_id)
             if plan.feasible:
                 edges.append(MergeEdge(donor.id, recipient.id, plan.cost,
-                                       plan.tour, donor.revision,
-                                       recipient.revision))
+                                       plan.tour))
     return VehicleGraph(nodes=tuple(v.id for v in assigned),
                         edges=tuple(edges))
 
@@ -129,34 +133,21 @@ def select_merges(graph: VehicleGraph) -> list[MergeEdge]:
 
 def apply_merges(merges: Sequence[MergeEdge],
                  vehicles_by_id: Mapping[int, Vehicle],
-                 requests_by_id: Mapping[int, Request],
-                 ) -> tuple[list[MergeEdge], list[MergeEdge]]:
+                 requests_by_id: Mapping[int, Request]) -> None:
     """Hand each donor's plan to its recipient.
 
-    Edges priced against a vehicle plan that has changed since are skipped
-    as stale.  Returns ``(applied, stale)``.
+    The edges must be vertex-disjoint, as the matching ``select_merges``
+    returns is, so every edge still prices the plans it was built from.
     """
-    applied: list[MergeEdge] = []
-    stale: list[MergeEdge] = []
     for edge in merges:
         donor = vehicles_by_id[edge.donor_id]
         recipient = vehicles_by_id[edge.recipient_id]
-        if (donor.revision != edge.donor_revision
-                or recipient.revision != edge.recipient_revision):
-            stale.append(edge)
-            continue
         recipient.tour = edge.merged_tour
         recipient.scheduled |= donor.scheduled
-        recipient.assigned_requests |= donor.assigned_requests
         for rid in sorted(donor.scheduled):
             requests_by_id[rid].vehicle_id = recipient.id
         donor.tour = ()
         donor.scheduled = set()
-        donor.assigned_requests = set()
-        donor.revision += 1
-        recipient.revision += 1
-        applied.append(edge)
-    return applied, stale
 
 
 def step2_loop(net: RoadNetwork, t: int, vehicles: Sequence[Vehicle],
@@ -165,27 +156,27 @@ def step2_loop(net: RoadNetwork, t: int, vehicles: Sequence[Vehicle],
     """Repeat build/match/apply until no merge remains.
 
     Every applied merge idles at least one donor, so the number of rounds
-    is bounded by the number of vehicles assigned work at entry.
+    is bounded by the number of vehicles assigned work at entry: the nodes
+    of the first graph.  A graph with an edge always yields a merge, since
+    every kept edge has positive weight.
     """
     stats = Step2Stats()
     vehicles_by_id = {v.id: v for v in vehicles}
-    limit = sum(1 for v in vehicles if v.assigned_requests)
-    stats.initial_assigned = limit
-    while stats.rounds < limit:
+    while True:
         t0 = time.perf_counter()
         graph = build_vehicle_graph(net, t, vehicles, requests_by_id,
                                     feasible_index)
         stats.cost_calculation_s += time.perf_counter() - t0
+        if not stats.rounds:
+            stats.initial_assigned = len(graph.nodes)
         if not graph.edges:
             break
         t0 = time.perf_counter()
         merges = select_merges(graph)
         stats.solution_s += time.perf_counter() - t0
-        if not merges:
-            break
-        applied, _ = apply_merges(merges, vehicles_by_id, requests_by_id)
-        if not applied:
-            break
+        apply_merges(merges, vehicles_by_id, requests_by_id)
         stats.rounds += 1
-        stats.merges += len(applied)
+        stats.merges += len(merges)
+        if stats.rounds >= stats.initial_assigned:
+            break
     return stats

@@ -93,9 +93,11 @@ def vehicle_with_plan(rng: random.Random, net, n_requests, t=0, capacity=4,
 
 def donor_vehicle(rng: random.Random, net, n_requests, t=0, capacity=4,
                   vid=1, base_rid=500, max_tries=400):
-    """A freshly assigned idle vehicle: pairs only, nothing aboard."""
+    """A vehicle whose whole plan was assigned at ``t``: pairs only,
+    nothing aboard."""
     veh, requests = vehicle_with_plan(
         rng, net, n_requests, t=t, capacity=capacity, vid=vid,
         base_rid=base_rid, allow_onboard=False, max_tries=max_tries)
-    veh.assigned_requests = set(veh.scheduled)
+    for r in requests:
+        r.assign_t = t
     return veh, requests

@@ -110,7 +110,7 @@ def test_merge_matching_equals_enumeration_oracle():
                 for b in range(a + 1, n):
                     if rng.random() < 0.45:
                         edges.append(MergeEdge(a, b, rng.randrange(0, 100),
-                                               (), 0, 0))
+                                               ()))
         graph = VehicleGraph(tuple(range(n)), tuple(edges))
         got = select_merges(graph)
         ceiling = 1 + max(e.cost for e in edges)

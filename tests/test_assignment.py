@@ -45,7 +45,7 @@ class TestFeasibleVehicles:
         far.location = 0
         req_tight = make_request(2, 0, 3, 4, 60, line_net)
         got = feasible_vehicles(line_net, req, [edge, near])
-        assert [v.id for v in got] == [0, 1]  # sorted by id, both within f
+        assert [v.id for v in got] == [1, 0]  # in the order given
         assert feasible_vehicles(line_net, req_tight, [far]) == []
 
     def test_no_free_seat_excluded(self, line_net):
@@ -81,6 +81,14 @@ class TestBuildBipartite:
         assert pairs == {(1, 0), (2, 1)}
         for e in graph.edges:
             assert e.tour  # every edge carries its committed tour
+
+    def test_candidates_in_id_order(self, line_net):
+        # an unordered fleet: every vehicle is within f of the origin
+        req = make_request(1, 0, 2, 4, 120, line_net)
+        fleet = [make_vehicle(2, 3), make_vehicle(0, 1), make_vehicle(1, 0)]
+        graph = build_bipartite(line_net, 0, [req], fleet, {1: req})
+        assert graph.vehicles == (0, 1, 2)
+        assert graph.feasible_sets[1] == (0, 1, 2)
 
     def test_filter_without_edge(self, line_net):
         # vehicle passes the radius filter but the ride misses l_r

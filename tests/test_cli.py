@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ridematch.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(path, **overrides):
@@ -278,7 +282,62 @@ class TestEntryPoint:
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
 
+    def test_demos_run(self, tmp_path):
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        demos = sorted((ROOT / "demos").glob("[0-9]*.py"))
+        assert len(demos) == 4
+        for demo in demos:
+            proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, (demo.name, proc.stderr)
+
 
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+GRID = {"kind": "grid", "rows": 3, "cols": 3}
+
+
+@pytest.mark.parametrize("command,overrides,files", [
+    ("validate", {"demand": {"kind": "poisson", "od_rates": [
+        {"origin": 0, "destination": 8, "rate_per_hour": "240"}]}}, {}),
+    ("validate", {"demand": {"kind": "uniform", "requests_per_hour": 120,
+                             "scale": "1"}}, {}),
+    ("validate", {"network": dict(GRID, rows="6")}, {}),
+    ("validate", {"network": dict(GRID, link_travel_time_s="40")}, {}),
+    ("validate", {"network": dict(GRID, rows=0)}, {}),
+    ("validate", {"matcher": ["gmomatch"]}, {}),
+    ("validate", {"network": {"kind": "file", "path": ["x"]}}, {}),
+    ("sweep", {"max_runs": "5"}, {}),
+    ("validate", {"network": {"kind": ["grid"]}}, {}),
+    ("run", {"seed": -1}, {}),
+    ("validate", {"network": {"kind": "file", "path": "net.json"}},
+     {"net.json": {"nodes": 5, "links": []}}),
+    ("run", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [{"t_r": "5", "origin": 0,
+                                 "destination": 8}]}}),
+], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
+        "rows-zero", "matcher-list", "path-list", "max-runs-string",
+        "kind-list", "seed-negative", "nodes-not-list", "t_r-string"])
+def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
+                           overrides, files):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    path = tmp_path / "doc.json"
+    if command == "sweep":
+        path.write_text(json.dumps(
+            {"base": write_config(tmp_path / "base.json"), **overrides}))
+    else:
+        write_config(path, **overrides)
+    argv = [command, "--config", str(path)]
+    if command != "validate":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,6 +2,7 @@ import random
 
 from ridematch.engine import baseline_update, gmomatch_update
 from ridematch.model import ASSIGNED, DROPOFF, EXPIRED, PENDING, PICKUP
+from ridematch.vehicle_graph import donor_eligible
 
 from conftest import make_request, make_vehicle
 from instance_gen import random_request
@@ -94,13 +95,20 @@ class TestCommitEffects:
     def test_epoch_assignments_reset_between_updates(self, line_net):
         r1 = make_request(1, 0, 1, 3, 600, line_net)
         veh = make_vehicle(0, 0)
+
+        def fresh(t, lookup):  # R_v: scheduled requests assigned at t
+            return {rid for rid in veh.scheduled
+                    if lookup[rid].assign_t == t}
+
         gmomatch_update(line_net, 0, [r1], [veh], by_id([r1]))
-        assert veh.assigned_requests == {1}
+        assert fresh(0, by_id([r1])) == {1}
+        assert donor_eligible(veh, 0, by_id([r1]))
         r2 = make_request(2, 30, 1, 3, 600, line_net)
         lookup = by_id([r1, r2])
         gmomatch_update(line_net, 30, [r2], [veh], lookup)
-        assert veh.assigned_requests == {2}  # R_v is per update epoch
+        assert fresh(30, lookup) == {2}  # R_v is per update epoch
         assert veh.scheduled == {1, 2}
+        assert not donor_eligible(veh, 30, lookup)  # r1 is older work
 
 
 class TestDeferral:

@@ -1,8 +1,7 @@
 import pytest
 
 from ridematch.model import (ASSIGNED, DROPOFF, EXPIRED, ONBOARD, PENDING,
-                             PICKUP, SERVED, Stop, Vehicle,
-                             flexibility_from_deadline, make_request,
+                             PICKUP, SERVED, Stop, Vehicle, make_request,
                              validate_tour)
 
 
@@ -31,14 +30,6 @@ class TestWindows:
         net = RoadNetwork([0, 1], [Link(0, 1, 100.0, 10)])
         with pytest.raises(ValueError, match="no route"):
             make_request(1, 0, 1, 0, 60, net)
-
-    def test_flexibility_from_deadline(self, line_net):
-        assert flexibility_from_deadline(100, 580, 0, 3, line_net) == 300
-        assert flexibility_from_deadline(0, 180, 0, 3, line_net) == 0
-
-    def test_too_tight_deadline_rejected(self, line_net):
-        with pytest.raises(ValueError, match="tighter"):
-            flexibility_from_deadline(0, 179, 0, 3, line_net)
 
 
 class TestStatus:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ridematch.model import DROPOFF, PICKUP, Stop
 from ridematch.scheduling import (evaluate_tour, path_cost, split_merge_cost,
-                                  split_tour, tour_schedule)
+                                  split_tour)
 
 from conftest import dropoff, make_request, make_vehicle, pickup
 from instance_gen import (donor_vehicle, random_request, vehicle_with_plan,
@@ -43,23 +43,6 @@ def first_optimum_ties(plan, times, veh, candidates, windows):
     assert plan.feasible and plan.cost == optimum
     assert plan.tour == candidates[costs.index(optimum)]
     return feasible.count(optimum)
-
-
-class TestTourSchedule:
-    def test_line_replay(self, line_net):
-        # vehicle at 0 departing t=100: reach 1 at 160, 3 at 280
-        tour = (pickup(1, 1), dropoff(1, 3))
-        arrivals, done = tour_schedule(line_net, 0, 100, tour)
-        assert arrivals == (160, 280)
-        assert done == 280
-
-    def test_zero_dwell_same_node(self, line_net):
-        tour = (pickup(1, 2), pickup(2, 2), dropoff(1, 4), dropoff(2, 4))
-        arrivals, _ = tour_schedule(line_net, 2, 0, tour)
-        assert arrivals == (0, 0, 120, 120)
-
-    def test_empty(self, line_net):
-        assert tour_schedule(line_net, 3, 50, ()) == ((), 50)
 
 
 class TestEvaluateTour:
@@ -304,7 +287,6 @@ class TestSplitMergeCost:
         r2 = make_request(2, 0, 0, 2, 600, line_net)
         donor = make_vehicle(1, 4, tour=(pickup(1, 0), dropoff(1, 2)),
                              scheduled={1})
-        donor.assigned_requests = {1}
         recipient = make_vehicle(2, 0, tour=(pickup(2, 0), dropoff(2, 2)),
                                  scheduled={2})
         plan = split_merge_cost(line_net, 0, donor, recipient,

@@ -85,12 +85,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unreachable"):
             check_demand_reachability(cfg, build_network(cfg))
 
-    def test_file_config_roundtrip(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(minimal_doc()))
-        assert ScenarioConfig.from_file(path) \
-            == ScenarioConfig.from_dict(minimal_doc())
-
 
 class TestDemand:
     def test_zero_rate_zero_requests(self, grid3):

@@ -12,41 +12,48 @@ def by_id(requests):
     return {r.id: r for r in requests}
 
 
-def fresh_assigned(vid, node, rids, tour, capacity=4):
-    veh = make_vehicle(vid, node, capacity=capacity, tour=tour,
-                       scheduled=set(rids))
-    veh.assigned_requests = set(rids)
-    return veh
+def fresh_assigned(vid, node, requests, tour, t=0, capacity=4):
+    """A vehicle whose scheduled requests were all assigned at ``t``."""
+    for r in requests:
+        r.assign_t = t
+    return make_vehicle(vid, node, capacity=capacity, tour=tour,
+                        scheduled={r.id for r in requests})
 
 
 class TestDonorEligibility:
-    def test_fresh_idle_vehicle_is_donor(self):
-        veh = fresh_assigned(1, 0, {5}, (pickup(5, 0), dropoff(5, 2)))
-        assert donor_eligible(veh)
+    def test_fresh_idle_vehicle_is_donor(self, line_net):
+        r5 = make_request(5, 0, 0, 2, 600, line_net)
+        veh = fresh_assigned(1, 0, [r5], (pickup(5, 0), dropoff(5, 2)))
+        assert donor_eligible(veh, 0, by_id([r5]))
 
-    def test_onboard_passenger_blocks(self):
-        veh = fresh_assigned(1, 0, {5}, (pickup(5, 0), dropoff(5, 2)))
+    def test_onboard_passenger_blocks(self, line_net):
+        r5 = make_request(5, 0, 0, 2, 600, line_net)
+        veh = fresh_assigned(1, 0, [r5], (pickup(5, 0), dropoff(5, 2)))
         veh.onboard = {9}
-        assert not donor_eligible(veh)
+        assert not donor_eligible(veh, 0, by_id([r5]))
 
-    def test_prior_commitments_block(self):
-        # scheduled rider 7 predates this update's assignment of 5
-        veh = fresh_assigned(1, 0, {5}, (pickup(7, 1), dropoff(7, 3),
-                                         pickup(5, 0), dropoff(5, 2)))
+    def test_prior_commitments_block(self, line_net):
+        # scheduled rider 7 was assigned an update before rider 5
+        r5 = make_request(5, 30, 0, 2, 600, line_net)
+        r7 = make_request(7, 0, 1, 3, 600, line_net)
+        r7.assign_t = 0
+        veh = fresh_assigned(1, 0, [r5], (pickup(7, 1), dropoff(7, 3),
+                                          pickup(5, 0), dropoff(5, 2)), t=30)
         veh.scheduled = {5, 7}
-        assert not donor_eligible(veh)
+        assert not donor_eligible(veh, 30, by_id([r5, r7]))
 
     def test_nothing_assigned_blocks(self):
         veh = make_vehicle(1, 0)
-        assert not donor_eligible(veh)
+        assert not donor_eligible(veh, 0, {})
 
 
 class TestBuildVehicleGraph:
-    def setup_pair(self, net, flex=600):
+    def setup_pair(self, net, flex=600, t=0):
         r1 = make_request(1, 0, 0, 2, flex, net)
         r2 = make_request(2, 0, 0, 2, flex, net)
-        donor = fresh_assigned(1, 4, {1}, (pickup(1, 0), dropoff(1, 2)))
-        recipient = fresh_assigned(2, 0, {2}, (pickup(2, 0), dropoff(2, 2)))
+        donor = fresh_assigned(1, 4, [r1], (pickup(1, 0), dropoff(1, 2)), t)
+        recipient = fresh_assigned(2, 0, [r2], (pickup(2, 0), dropoff(2, 2)),
+                                   t)
         return r1, r2, donor, recipient
 
     def test_edge_requires_connectivity(self, line_net):
@@ -61,11 +68,15 @@ class TestBuildVehicleGraph:
         assert [(e.donor_id, e.recipient_id) for e in without.edges] == []
 
     def test_nodes_are_assigned_vehicles_only(self, line_net):
-        r1, r2, donor, recipient = self.setup_pair(line_net)
+        r1, r2, donor, recipient = self.setup_pair(line_net, t=30)
         bystander = make_vehicle(3, 2)
-        graph = build_vehicle_graph(line_net, 0,
-                                    [donor, recipient, bystander],
-                                    by_id([r1, r2]), {1: (1, 2), 2: (2,)})
+        # busy with a request assigned at an earlier update
+        r4 = make_request(4, 0, 1, 3, 600, line_net)
+        earlier = fresh_assigned(4, 1, [r4], (pickup(4, 1), dropoff(4, 3)))
+        graph = build_vehicle_graph(line_net, 30,
+                                    [donor, recipient, bystander, earlier],
+                                    by_id([r1, r2, r4]),
+                                    {1: (1, 2), 2: (2,), 4: (4,)})
         assert graph.nodes == (1, 2)
 
     def test_busier_vehicle_cannot_donate_to_emptier(self, line_net):
@@ -74,10 +85,10 @@ class TestBuildVehicleGraph:
         recipient.onboard = set()
         # donor now carries two scheduled riders vs recipient's one
         r3 = make_request(3, 0, 0, 2, 600, line_net)
+        r3.assign_t = 0
         donor.tour = (pickup(1, 0), dropoff(1, 2), pickup(3, 0),
                       dropoff(3, 2))
         donor.scheduled = {1, 3}
-        donor.assigned_requests = {1, 3}
         graph = build_vehicle_graph(line_net, 0, [donor, recipient],
                                     by_id([r1, r2, r3]),
                                     {1: (1, 2), 2: (2,), 3: (1, 2)})
@@ -107,7 +118,7 @@ class TestSelectMerges:
         return VehicleGraph(nodes, tuple(edges))
 
     def edge(self, d, r, cost):
-        return MergeEdge(d, r, cost, (), 0, 0)
+        return MergeEdge(d, r, cost, ())
 
     def test_empty(self):
         assert select_merges(VehicleGraph((), ())) == []
@@ -130,16 +141,24 @@ class TestSelectMerges:
             for a in range(n):
                 for b in range(a + 1, n):
                     if rng.random() < 0.5:
-                        edges.append(self.edge(a, b, rng.randrange(0, 60)))
+                        # one direction, the other, or both
+                        for d, r in rng.choice([[(a, b)], [(b, a)],
+                                                [(a, b), (b, a)]]):
+                            edges.append(self.edge(d, r, rng.randrange(0, 60)))
             if not edges:
                 continue
             graph = self.graph(edges)
             got = select_merges(graph)
-            ceiling = 1 + max(e.cost for e in edges)
+            # opposite directions collapse to the cheaper edge
+            cheapest = {}
+            for e in edges:
+                pair = frozenset((e.donor_id, e.recipient_id))
+                cheapest[pair] = min(cheapest.get(pair, e.cost), e.cost)
+            ceiling = 1 + max(cheapest.values())
             expected = best_matching_weight(
-                [(e.donor_id, e.recipient_id, ceiling - e.cost)
-                 for e in edges])
+                [(*pair, ceiling - cost) for pair, cost in cheapest.items()])
             assert sum(ceiling - e.cost for e in got) == expected
+            assert got  # a graph with an edge always yields a merge
             used = [v for e in got for v in (e.donor_id, e.recipient_id)]
             assert len(used) == len(set(used))  # vertex-disjoint
 
@@ -154,34 +173,21 @@ class TestApplyMerges:
     def test_plan_moves_and_donor_clears(self, line_net):
         r1 = make_request(1, 0, 0, 2, 600, line_net)
         r2 = make_request(2, 0, 0, 2, 600, line_net)
-        donor = fresh_assigned(1, 4, {1}, (pickup(1, 0), dropoff(1, 2)))
-        recipient = fresh_assigned(2, 0, {2}, (pickup(2, 0), dropoff(2, 2)))
+        donor = fresh_assigned(1, 4, [r1], (pickup(1, 0), dropoff(1, 2)))
+        recipient = fresh_assigned(2, 0, [r2], (pickup(2, 0), dropoff(2, 2)))
         merged = (pickup(2, 0), pickup(1, 0), dropoff(2, 2), dropoff(1, 2))
-        edge = MergeEdge(1, 2, 120, merged, donor.revision,
-                         recipient.revision)
+        edge = MergeEdge(1, 2, 120, merged)
         lookup = by_id([r1, r2])
         r1.vehicle_id = 1
-        applied, stale = apply_merges([edge], {1: donor, 2: recipient},
-                                      lookup)
-        assert applied == [edge] and stale == []
+        apply_merges([edge], {1: donor, 2: recipient}, lookup)
         assert donor.tour == () and donor.scheduled == set()
-        assert donor.assigned_requests == set()
         assert recipient.tour == merged
         assert recipient.scheduled == {1, 2}
-        assert recipient.assigned_requests == {1, 2}
+        # the recipient now holds only this update's work; the donor none
+        assert donor_eligible(recipient, 0, lookup)
+        assert not donor_eligible(donor, 0, lookup)
         assert r1.vehicle_id == 2
         assert donor.location == 4  # donor stays where it was
-
-    def test_stale_revision_skipped(self, line_net):
-        r1 = make_request(1, 0, 0, 2, 600, line_net)
-        donor = fresh_assigned(1, 4, {1}, (pickup(1, 0), dropoff(1, 2)))
-        recipient = fresh_assigned(2, 0, set(), ())
-        edge = MergeEdge(1, 2, 120, (), donor.revision + 1,
-                         recipient.revision)
-        applied, stale = apply_merges([edge], {1: donor, 2: recipient},
-                                      by_id([r1]))
-        assert applied == [] and stale == [edge]
-        assert donor.tour  # untouched
 
 
 class TestStep2Loop:
@@ -189,7 +195,7 @@ class TestStep2Loop:
         # four identical fresh assignments at node 0 collapse onto one
         # vehicle over successive rounds
         reqs = [make_request(i, 0, 0, 2, 600, line_net) for i in range(4)]
-        vehicles = [fresh_assigned(v, 0, {v},
+        vehicles = [fresh_assigned(v, 0, [reqs[v]],
                                    (pickup(v, 0), dropoff(v, 2)))
                     for v in range(4)]
         for r in reqs:
@@ -206,7 +212,7 @@ class TestStep2Loop:
 
     def test_no_edges_no_rounds(self, line_net):
         r1 = make_request(1, 0, 0, 2, 600, line_net)
-        veh = fresh_assigned(1, 0, {1}, (pickup(1, 0), dropoff(1, 2)))
+        veh = fresh_assigned(1, 0, [r1], (pickup(1, 0), dropoff(1, 2)))
         stats = step2_loop(line_net, 0, [veh], by_id([r1]), {1: (1,)})
         assert stats.rounds == 0 and stats.merges == 0
         assert veh.tour
