@@ -212,6 +212,8 @@ def _sweep_worker(doc: dict) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     base, axes, seeds, max_runs = _load_sweep_spec(args.config)
     combos = _sweep_combos(base, axes, seeds)
     if len(combos) > max_runs:

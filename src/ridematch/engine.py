@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .assignment import Edge, build_bipartite, solve_assignment
+from .assignment import BipartiteGraph, build_bipartite, solve_assignment
 from .model import ASSIGNED, EXPIRED, PENDING, Request, Vehicle
 from .network import RoadNetwork
 from .vehicle_graph import step2_loop
@@ -44,30 +44,44 @@ def expire_overdue(t: int, pending: Sequence[Request]) -> list[int]:
     return expired
 
 
-def commit_matches(t: int, matches: Sequence[Edge],
-                   vehicles_by_id: Mapping[int, Vehicle],
-                   requests_by_id: Mapping[int, Request]) -> None:
-    """Adopt the matched tours and mark the requests assigned.
-
-    The vehicle is pinned to depart no earlier than ``t`` so the realized
-    schedule equals the priced one.
-    """
-    for edge in matches:
-        veh = vehicles_by_id[edge.vehicle_id]
-        req = requests_by_id[edge.request_id]
-        veh.tour = edge.tour
-        veh.scheduled.add(edge.request_id)
-        veh.ready_at = max(veh.ready_at, t)
-        req.set_status(ASSIGNED)
-        req.vehicle_id = veh.id
-        req.assign_t = t
-
-
 def _begin_update(t: int, pending: Sequence[Request],
                   outcome: UpdateOutcome) -> list[Request]:
     outcome.expired = expire_overdue(t, pending)
     return sorted((r for r in pending if r.status == PENDING),
                   key=lambda r: r.id)
+
+
+def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
+                      vehicles: Sequence[Vehicle],
+                      requests_by_id: Mapping[int, Request],
+                      outcome: UpdateOutcome) -> BipartiteGraph:
+    """Price, solve and commit one assignment round; return the priced
+    graph.  A graph with an edge always yields at least one match.
+
+    A matched vehicle adopts the priced tour and is pinned to depart no
+    earlier than ``t``, so the realized schedule equals the priced one.
+    """
+    t0 = time.perf_counter()
+    graph = build_bipartite(net, t, remaining, vehicles, requests_by_id)
+    outcome.cost_calculation_s += time.perf_counter() - t0
+    outcome.iterations += 1
+    if not graph.edges:
+        return graph
+    t0 = time.perf_counter()
+    matches = solve_assignment(graph)
+    outcome.solution_s += time.perf_counter() - t0
+    vehicles_by_id = {v.id: v for v in vehicles}
+    for edge in matches:
+        veh = vehicles_by_id[edge.vehicle_id]
+        req = requests_by_id[edge.request_id]
+        veh.tour = edge.tour
+        veh.scheduled.add(req.id)
+        veh.ready_at = max(veh.ready_at, t)
+        req.set_status(ASSIGNED)
+        req.vehicle_id = veh.id
+        req.assign_t = t
+        outcome.finalized.append(req.id)
+    return graph
 
 
 def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
@@ -82,23 +96,13 @@ def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
     """
     outcome = UpdateOutcome()
     remaining = _begin_update(t, pending, outcome)
-    vehicles_by_id = {v.id: v for v in vehicles}
     feasible_index: dict[int, tuple[int, ...]] = {}
     while remaining:
-        t0 = time.perf_counter()
-        graph = build_bipartite(net, t, remaining, vehicles, requests_by_id)
-        outcome.cost_calculation_s += time.perf_counter() - t0
-        outcome.iterations += 1
+        graph = _assignment_round(net, t, remaining, vehicles,
+                                  requests_by_id, outcome)
         feasible_index.update(graph.feasible_sets)
         if not graph.edges:
             break
-        t0 = time.perf_counter()
-        matches = solve_assignment(graph)
-        outcome.solution_s += time.perf_counter() - t0
-        if not matches:
-            break
-        commit_matches(t, matches, vehicles_by_id, requests_by_id)
-        outcome.finalized.extend(m.request_id for m in matches)
         stats = step2_loop(net, t, vehicles, requests_by_id, feasible_index)
         outcome.step2_rounds += stats.rounds
         outcome.step2_merges += stats.merges
@@ -116,19 +120,10 @@ def baseline_update(net: RoadNetwork, t: int, pending: Sequence[Request],
     """Single assignment round: one new request per vehicle per update."""
     outcome = UpdateOutcome()
     remaining = _begin_update(t, pending, outcome)
-    vehicles_by_id = {v.id: v for v in vehicles}
     if remaining:
-        t0 = time.perf_counter()
-        graph = build_bipartite(net, t, remaining, vehicles, requests_by_id)
-        outcome.cost_calculation_s += time.perf_counter() - t0
-        outcome.iterations = 1
-        t0 = time.perf_counter()
-        matches = solve_assignment(graph)
-        outcome.solution_s += time.perf_counter() - t0
-        commit_matches(t, matches, vehicles_by_id, requests_by_id)
-        outcome.finalized.extend(m.request_id for m in matches)
-        matched = {m.request_id for m in matches}
-        outcome.deferred = [r.id for r in remaining if r.id not in matched]
+        _assignment_round(net, t, remaining, vehicles, requests_by_id,
+                          outcome)
+    outcome.deferred = [r.id for r in remaining if r.status == PENDING]
     return outcome
 
 

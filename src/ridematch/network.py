@@ -2,8 +2,9 @@
 
 The network is a directed graph of integer node ids and links carrying a
 length in meters and a travel time in whole seconds.  Travel times are
-static for the lifetime of a network object, so all routing results are
-cached after the first query; the cache is invisible to callers.
+static for the lifetime of a network object, so each distance row, out
+of a source or into a target, is kept once computed; paths are walked
+hop by hop from their target's row and never stored.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ class RoadNetwork:
     """Directed road graph with time-shortest routing.
 
     Read-only after construction: queries may run concurrently, mutation is
-    not supported.  Shortest-path ties are broken towards the smallest next
-    node id, so identical queries always return identical paths.
+    not supported.  The routing state is the distance rows ``_dist_from``
+    and ``_dist_to``.  The next hop towards ``dst`` is the smallest-id
+    neighbour ``n`` with ``link time + dist_to[dst][n] == dist_to[dst][here]``,
+    so identical queries always return identical paths.
     """
 
     def __init__(self, nodes: Iterable[int], links: Iterable[Link]):
@@ -66,10 +69,9 @@ class RoadNetwork:
         for n in self.nodes:
             self._out[n].sort(key=lambda l: l.dst)
             self._in[n].sort(key=lambda l: l.src)
-        # lazy routing caches, keyed by query endpoints
+        # lazy distance rows, keyed by source and by target
         self._dist_from: dict[int, dict[int, int]] = {}
         self._dist_to: dict[int, dict[int, int]] = {}
-        self._path_cache: dict[tuple[int, int], tuple[int, ...] | None] = {}
 
     def __contains__(self, node: int) -> bool:
         return node in self._out
@@ -127,40 +129,33 @@ class RoadNetwork:
         self._require(src)
         return self._distances_from(src)
 
+    def next_link(self, src: int, dst: int) -> Link | None:
+        """First link of a time-shortest path from ``src`` to ``dst``, to the
+        smallest node id among equal-cost choices; None when ``src == dst``
+        or ``dst`` is unreachable."""
+        self._require(src)
+        self._require(dst)
+        dist_to = self._distances_to(dst)
+        remain = dist_to.get(src)
+        if remain is None or src == dst:
+            return None
+        for link in self._out[src]:  # sorted by dst: first hit wins
+            if dist_to.get(link.dst) == remain - link.travel_time_s:
+                return link
+        raise RuntimeError("inconsistent distance tables")
+
     def shortest_path(self, src: int, dst: int) -> tuple[int, ...] | None:
         """Node sequence of a time-shortest path, or None if unreachable.
 
-        Among equal-cost paths the one whose next node id is smallest at
-        every step is returned.
+        The path follows ``next_link``: among equal-cost paths, the one
+        whose next node id is smallest at every step.
         """
-        self._require(src)
-        self._require(dst)
-        key = (src, dst)
-        if key in self._path_cache:
-            return self._path_cache[key]
-        total = self._distances_from(src).get(dst)
-        if total is None:
-            self._path_cache[key] = None
-            return None
-        dist_from = self._distances_from(src)
-        dist_to = self._distances_to(dst)
         path = [src]
-        current = src
-        while current != dst:
-            step = None
-            base = dist_from[current]
-            for link in self._out[current]:  # sorted by dst: first hit wins
-                remain = dist_to.get(link.dst)
-                if remain is not None and base + link.travel_time_s + remain == total:
-                    step = link.dst
-                    break
-            if step is None:
-                raise RuntimeError("inconsistent distance tables")
-            path.append(step)
-            current = step
-        result = tuple(path)
-        self._path_cache[key] = result
-        return result
+        link = self.next_link(src, dst)
+        while link is not None:
+            path.append(link.dst)
+            link = self.next_link(link.dst, dst)
+        return tuple(path) if path[-1] == dst else None
 
 
 def _as_int(value, what: str) -> int:

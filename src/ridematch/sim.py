@@ -260,6 +260,7 @@ def load_requests(path: Path, config: ScenarioConfig,
     rows = []
     required = {"t_r", "origin", "destination"}
     allowed = required | {"flexibility_s"}
+    nodes = set(net.nodes)
     for rec in doc["requests"]:
         if not isinstance(rec, dict) or not rec.keys() <= allowed:
             raise ConfigError(f"bad request record: {rec!r}")
@@ -267,8 +268,16 @@ def load_requests(path: Path, config: ScenarioConfig,
             raise ConfigError(f"request record missing "
                               f"{sorted(required - rec.keys())}: {rec!r}")
         check_number(rec["t_r"], "request t_r", 0)
-        if rec["origin"] == rec["destination"]:
+        origin, destination = rec["origin"], rec["destination"]
+        # type() rather than isinstance(): a bool is not a node id
+        if not (type(origin) is int and type(destination) is int
+                and origin in nodes and destination in nodes):
+            raise ConfigError(f"request origin and destination must be "
+                              f"nodes of the network: {rec!r}")
+        if origin == destination:
             raise ConfigError("request origin must differ from destination")
+        if "flexibility_s" in rec:
+            check_number(rec["flexibility_s"], "request flexibility_s", 0)
         rows.append(rec)
     rows.sort(key=lambda r: r["t_r"])
     out = []
@@ -277,7 +286,7 @@ def load_requests(path: Path, config: ScenarioConfig,
         try:
             out.append(make_request(rid, rec["t_r"], rec["origin"],
                                     rec["destination"], flex, net))
-        except (ValueError, KeyError, TypeError) as exc:  # bad node or flex
+        except ValueError as exc:  # no route from origin to destination
             raise ConfigError(f"bad request record {rec!r}: {exc}") from exc
     return out
 
@@ -348,10 +357,9 @@ def advance(state: SimulationState, until: int) -> None:
                             f"request {req.id} dropped off after its deadline")
                 veh.tour = veh.tour[1:]
             else:
-                path = state.net.shortest_path(veh.location, stop.node)
-                if path is None:
+                link = state.net.next_link(veh.location, stop.node)
+                if link is None:
                     raise RuntimeError("committed tour has unreachable stop")
-                link = state.net.link(veh.location, path[1])
                 veh.location = link.dst
                 veh.ready_at += link.travel_time_s
                 veh.odometer_m += link.length_m

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written with different algorithms than
-the code under test: Bellman-Ford instead of Dijkstra, permutation
+the code under test: Bellman-Ford instead of Dijkstra, path enumeration
+instead of next-hop routing, permutation
 enumeration instead of the LAP solver, exhaustive matching enumeration
 instead of blossom, and a separate tour evaluator driven by the
 Bellman-Ford travel-time table.
@@ -28,6 +29,32 @@ def bellman_ford(nodes, links, source):
         if not changed:
             break
     return dist
+
+
+def smallest_shortest_path(links, src, dst):
+    """Lexicographically smallest among the minimum-cost simple paths from
+    ``src`` to ``dst``, by enumerating every simple path; None when there
+    is none.  ``links`` are (src, dst, weight)."""
+    out = {}
+    for a, b, w in links:
+        out.setdefault(a, []).append((b, w))
+    best = None
+
+    def walk(path, cost):
+        nonlocal best
+        node = path[-1]
+        if node == dst:
+            if best is None or (cost, path) < best:
+                best = (cost, list(path))
+            return
+        for nxt, w in out.get(node, ()):
+            if nxt not in path:
+                path.append(nxt)
+                walk(path, cost + w)
+                path.pop()
+
+    walk([src], 0)
+    return None if best is None else tuple(best[1])
 
 
 _times_cache: dict[int, dict] = {}

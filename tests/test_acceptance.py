@@ -37,9 +37,10 @@ def verdict(label: str, ok: bool, detail: str = "") -> None:
 
 # --- shared scenario batches -------------------------------------------------
 
-# SHA-256 of the trip log of every batch_config(seed) and of each config in
-# test_reruns_are_byte_identical.  A rewrite of pricing or matching must
-# keep them; only a deliberate change of results may re-record them.
+# SHA-256 of the trip log of every batch_config(seed), of irregular_config
+# and of each config in test_reruns_are_byte_identical.  A rewrite of
+# routing, pricing or matching must keep them; only a deliberate change of
+# results may re-record them.
 PINNED = json.loads(
     Path(__file__).with_name("pinned_trip_logs.json").read_text())
 
@@ -64,6 +65,44 @@ def batch_config(seed: int):
                                           (35, 0)]],
                 "scale": 1.2},
     )
+
+
+def irregular_config(tmp_path):
+    """A scenario on a file network unlike the bundled grid.
+
+    A 4x5 lattice whose node ids are shuffled and non-contiguous, whose
+    link times differ by row and column, with one eastbound-only row and
+    one southbound-only column; many blocks still have two equal-cost
+    ways round.
+    """
+    ids = [412, 7, 95, 230, 58, 301, 144, 23, 377, 86,
+           199, 5, 260, 131, 318, 42, 171, 499, 66, 212]
+    across = [30, 30, 50, 30]          # per row
+    down = [40, 40, 60, 40, 40]        # per column
+    links = []
+
+    def add(a, b, tt):
+        links.append({"from": a, "to": b, "length_m": 10.0 * tt,
+                      "travel_time_s": tt})
+
+    for r in range(4):
+        for c in range(5):
+            here = ids[r * 5 + c]
+            if c < 4:
+                add(here, ids[r * 5 + c + 1], across[r])
+                if r != 1:
+                    add(ids[r * 5 + c + 1], here, across[r])
+            if r < 3:
+                add(here, ids[(r + 1) * 5 + c], down[c])
+                if c != 3:
+                    add(ids[(r + 1) * 5 + c], here, down[c])
+    path = tmp_path / "irregular_net.json"
+    path.write_text(json.dumps({"nodes": [{"id": n} for n in ids],
+                                "links": links}))
+    return example_config(
+        network={"kind": "file", "path": str(path)},
+        demand={"kind": "uniform", "requests_per_hour": 240},
+        fleet_size=5, capacity=3, flexibility_s=180, seed=3)
 
 
 @pytest.fixture(scope="session")
@@ -347,9 +386,14 @@ def test_trip_logs_match_pinned_hashes(scenario_batch, tmp_path):
                if trip_log_sha256(result.trip_records,
                                   tmp_path / f"batch{idx}.csv")
                != PINNED["batch"][idx]]
+    irregular = run_scenario(irregular_config(tmp_path))
+    if trip_log_sha256(irregular.trip_records, tmp_path / "irregular.csv") \
+            != PINNED["irregular"]:
+        changed.append("irregular")
     verdict("pinned trip logs", not changed,
-            f"{len(scenario_batch)} scenarios, {len(changed)} changed"
-            + (f"; first: seed {changed[0]}" if changed else ""))
+            f"{len(scenario_batch)} grid scenarios and 1 file network, "
+            f"{len(changed)} changed"
+            + (f"; first: {changed[0]}" if changed else ""))
 
 
 def test_merge_loop_round_bound(scenario_batch):

@@ -248,6 +248,16 @@ class TestSweep:
         assert [[r[i] for i in keep] for r in serial] \
             == [[r[i] for i in keep] for r in parallel]
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        path = self.write_spec(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out),
+                     "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --jobs") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_capacity_axis_shape(self, tmp_path):
         # the three-capacity sensitivity layout: one row per capacity
         path = self.write_spec(tmp_path, axes={"capacity": [4, 6, 10]})
@@ -321,9 +331,26 @@ GRID = {"kind": "grid", "rows": 3, "cols": 3}
     ("run", {"demand": {"kind": "file", "path": "req.json"}},
      {"req.json": {"requests": [{"t_r": "5", "origin": 0,
                                  "destination": 8}]}}),
+    ("run", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [{"t_r": 5, "origin": True,
+                                 "destination": 8}]}}),
+    ("run", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [{"t_r": 5, "origin": 0,
+                                 "destination": 5.0}]}}),
+    ("run", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [{"t_r": 5, "origin": 0, "destination": 8,
+                                 "flexibility_s": 60.5}]}}),
+    ("run", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [{"t_r": 5, "origin": 0, "destination": 8,
+                                 "flexibility_s": True}]}}),
+    ("run", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [{"t_r": 5, "origin": 0, "destination": 8,
+                                 "flexibility_s": "60"}]}}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
-        "kind-list", "seed-negative", "nodes-not-list", "t_r-string"])
+        "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
+        "origin-bool", "destination-float", "flexibility-float",
+        "flexibility-bool", "flexibility-string"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from ridematch.network import (Link, NetworkFormatError, RoadNetwork,
                                grid_network, load_network)
 
-from oracles import bellman_ford
+from oracles import bellman_ford, smallest_shortest_path
 
 
 class TestRouting:
@@ -31,6 +31,8 @@ class TestRouting:
     def test_unknown_node_raises(self, line_net):
         with pytest.raises(KeyError):
             line_net.shortest_travel_time(0, 99)
+        with pytest.raises(KeyError):
+            line_net.next_link(0, 99)
 
     def test_tie_breaks_to_smallest_next_node(self):
         # two equal-cost routes 0->1->3 and 0->2->3; 1 < 2 must win
@@ -77,6 +79,28 @@ class TestRouting:
                     walked = sum(net.link(a, b).travel_time_s
                                  for a, b in zip(path, path[1:]))
                     assert walked == total
+
+    def test_tie_rule_matches_path_enumeration(self):
+        # link times in {1, 2} make many equal-cost routes; shuffled sparse
+        # ids keep the tie rule from leaning on id order matching layout
+        rng = random.Random(23)
+        for trial in range(40):
+            n = rng.randrange(2, 8)
+            ids = rng.sample(range(1000), n)
+            links = [Link(a, b, 100.0, rng.choice((1, 2)))
+                     for a in ids for b in ids
+                     if a != b and rng.random() < 0.45]
+            net = RoadNetwork(ids, links)
+            raw = [(l.src, l.dst, l.travel_time_s) for l in links]
+            for src in ids:
+                for dst in ids:
+                    expect = smallest_shortest_path(raw, src, dst)
+                    assert net.shortest_path(src, dst) == expect
+                    hop = net.next_link(src, dst)
+                    if expect is None or src == dst:
+                        assert hop is None
+                    else:
+                        assert hop == net.link(src, expect[1])
 
     def test_repeat_queries_identical(self, grid6):
         assert grid6.shortest_path(3, 32) == grid6.shortest_path(3, 32)

@@ -9,6 +9,7 @@ import pytest
 
 from ridematch.metrics import compute_metrics
 from ridematch.model import SERVED
+from ridematch.network import Link, RoadNetwork
 from ridematch.sim import (ConfigError, ScenarioConfig, SimulationState,
                            advance, build_network, check_demand_reachability,
                            commuter_config, example_config, generate_demand,
@@ -241,6 +242,32 @@ class TestAdvance:
         assert veh.location == 2     # already committed to the 1->2 hop
         assert veh.ready_at == 120   # arrival at node 2
         assert veh.tour              # still en route
+
+    def test_hops_follow_shortest_path(self, grid6):
+        # a uniform grid has many equal-cost routes between two corners
+        for start, goal in [(0, 35), (35, 0), (5, 30), (14, 21), (7, 7)]:
+            req = make_request(1, 0, start, goal, 3600, grid6)
+            req.status = "onboard"
+            veh = make_vehicle(0, start, tour=(dropoff(1, goal),),
+                               onboard={1})
+            state = self.state(grid6, [veh], [req])
+            visited = [start]
+            while veh.tour:  # each call makes one hop or the dropoff
+                advance(state, veh.ready_at)
+                if veh.location != visited[-1]:
+                    visited.append(veh.location)
+            assert tuple(visited) == grid6.shortest_path(start, goal)
+
+    def test_unreachable_stop_raises(self):
+        net = RoadNetwork([0, 1, 2], [Link(0, 1, 100.0, 10),
+                                      Link(1, 2, 100.0, 10)])
+        req = make_request(1, 0, 1, 2, 300, net)
+        req.status = "assigned"
+        veh = make_vehicle(0, 2, tour=(pickup(1, 1), dropoff(1, 2)),
+                           scheduled={1})
+        state = self.state(net, [veh], [req])
+        with pytest.raises(RuntimeError, match="unreachable stop"):
+            advance(state, 60)
 
     def test_backwards_rejected(self, line_net):
         state = self.state(line_net, [], [])
