@@ -46,10 +46,11 @@ def feasible_vehicles(net: RoadNetwork, request: Request,
     vehicles are returned in the order given.
     """
     out = []
+    to_origin = net.travel_times_to(request.origin)
     for v in vehicles:
         if v.available_capacity < 1:
             continue
-        approach = net.shortest_travel_time(v.location, request.origin)
+        approach = to_origin.get(v.location)
         if approach is not None and approach <= request.f_r:
             out.append(v)
     return out

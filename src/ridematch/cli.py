@@ -222,7 +222,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(combos))  # the pool forks them all
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, combos))
     else:
         results = [_sweep_worker(doc) for doc in combos]

@@ -2,9 +2,10 @@
 
 The network is a directed graph of integer node ids and links carrying a
 length in meters and a travel time in whole seconds.  Travel times are
-static for the lifetime of a network object, so each distance row, out
-of a source or into a target, is kept once computed; paths are walked
-hop by hop from their target's row and never stored.
+static for the lifetime of a network object.  Every query ends at a
+target, so the only routing state is one distance row per target, the
+travel times into it from every node, kept once computed; paths are
+walked hop by hop from their target's row and never stored.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ class RoadNetwork:
     """Directed road graph with time-shortest routing.
 
     Read-only after construction: queries may run concurrently, mutation is
-    not supported.  The routing state is the distance rows ``_dist_from``
-    and ``_dist_to``.  The next hop towards ``dst`` is the smallest-id
-    neighbour ``n`` with ``link time + dist_to[dst][n] == dist_to[dst][here]``,
-    so identical queries always return identical paths.
+    not supported.  The routing state is ``_dist_to`` only: one distance
+    row into each target queried so far.  The next hop towards ``dst`` is
+    the smallest-id neighbour ``n`` with
+    ``link time + dist_to[dst][n] == dist_to[dst][here]``, so identical
+    queries always return identical paths.
     """
 
     def __init__(self, nodes: Iterable[int], links: Iterable[Link]):
@@ -69,8 +71,7 @@ class RoadNetwork:
         for n in self.nodes:
             self._out[n].sort(key=lambda l: l.dst)
             self._in[n].sort(key=lambda l: l.src)
-        # lazy distance rows, keyed by source and by target
-        self._dist_from: dict[int, dict[int, int]] = {}
+        # lazy distance rows, keyed by target
         self._dist_to: dict[int, dict[int, int]] = {}
 
     def __contains__(self, node: int) -> bool:
@@ -83,34 +84,26 @@ class RoadNetwork:
         if node not in self._out:
             raise KeyError(f"unknown node id {node}")
 
-    def _dijkstra(self, source: int, adjacency: dict[int, list[Link]],
-                  forward: bool) -> dict[int, int]:
-        dist = {source: 0}
-        heap = [(0, source)]
+    def _dijkstra(self, target: int) -> dict[int, int]:
+        into = self._in
+        dist = {target: 0}
+        heap = [(0, target)]
         while heap:
             d, node = heapq.heappop(heap)
             if d > dist[node]:
                 continue
-            for link in adjacency[node]:
-                nxt = link.dst if forward else link.src
+            for link in into[node]:
+                src = link.src
                 nd = d + link.travel_time_s
-                if nxt not in dist or nd < dist[nxt]:
-                    dist[nxt] = nd
-                    heapq.heappush(heap, (nd, nxt))
+                if src not in dist or nd < dist[src]:
+                    dist[src] = nd
+                    heapq.heappush(heap, (nd, src))
         return dist
-
-    def _distances_from(self, source: int) -> dict[int, int]:
-        cached = self._dist_from.get(source)
-        if cached is None:
-            cached = self._dijkstra(source, self._out, forward=True)
-            self._dist_from[source] = cached
-        return cached
 
     def _distances_to(self, target: int) -> dict[int, int]:
         cached = self._dist_to.get(target)
         if cached is None:
-            cached = self._dijkstra(target, self._in, forward=False)
-            self._dist_to[target] = cached
+            cached = self._dist_to[target] = self._dijkstra(target)
         return cached
 
     def shortest_travel_time(self, src: int, dst: int) -> int | None:
@@ -121,13 +114,13 @@ class RoadNetwork:
         """
         self._require(src)
         self._require(dst)
-        return self._distances_from(src).get(dst)
+        return self._distances_to(dst).get(src)
 
-    def travel_times_from(self, src: int) -> dict[int, int]:
-        """Travel times from ``src`` to every reachable node; the mapping
-        is the routing cache itself, so do not modify it."""
-        self._require(src)
-        return self._distances_from(src)
+    def travel_times_to(self, dst: int) -> dict[int, int]:
+        """Travel times to ``dst`` from every node that reaches it; the
+        mapping is the routing cache itself, so do not modify it."""
+        self._require(dst)
+        return self._distances_to(dst)
 
     def next_link(self, src: int, dst: int) -> Link | None:
         """First link of a time-shortest path from ``src`` to ``dst``, to the

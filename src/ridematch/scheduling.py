@@ -149,11 +149,12 @@ def _cheapest(net: RoadNetwork, t: int, vehicle: Vehicle,
     n = len(units)
     if n == 0:
         return PlanResult(True, 0, ())
-    # per stop: (node, deadline, load change); PICKUP is +1, DROPOFF -1
-    legs = [[(s.node, requests_by_id[s.request_id].q_r if s.kind == PICKUP
-              else requests_by_id[s.request_id].l_r, s.kind) for s in unit]
-            for unit in units]
-    rows: dict[int, Mapping[int, int]] = {}
+    # per stop: (travel times into its node, node, deadline, load change);
+    # PICKUP is +1, DROPOFF -1
+    legs = [[(net.travel_times_to(s.node), s.node,
+              requests_by_id[s.request_id].q_r if s.kind == PICKUP
+              else requests_by_id[s.request_id].l_r, s.kind)
+             for s in unit] for unit in units]
     capacity = vehicle.capacity
     node, clock = vehicle.location, max(t, vehicle.ready_at)
     load = len(vehicle.onboard)
@@ -167,11 +168,8 @@ def _cheapest(net: RoadNetwork, t: int, vehicle: Vehicle,
         while k < n:  # find the next unit, from k up, that fits here
             if not placed[k] and (after[k] < 0 or placed[after[k]]):
                 at, c, ld = node, clock, load
-                for stop_node, deadline, delta in legs[k]:
-                    row = rows.get(at)
-                    if row is None:
-                        row = rows[at] = net.travel_times_from(at)
-                    leg = row.get(stop_node)
+                for row, stop_node, deadline, delta in legs[k]:
+                    leg = row.get(at)
                     if leg is None:
                         break
                     c += leg

@@ -195,7 +195,10 @@ def build_network(config: ScenarioConfig) -> RoadNetwork:
 
 def check_demand_reachability(config: ScenarioConfig,
                               net: RoadNetwork) -> None:
-    """Reject OD pairs with no route (or unknown nodes) up front."""
+    """Reject OD pairs with no route (or unknown nodes) up front, and
+    uniform demand on a network with no pair of distinct nodes to draw."""
+    if config.demand["kind"] == "uniform" and len(net.nodes) < 2:
+        raise ConfigError("uniform demand needs at least 2 network nodes")
     if config.demand["kind"] == "poisson":
         for rec in config.demand["od_rates"]:
             o, d = rec["origin"], rec["destination"]
@@ -241,7 +244,10 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
     events.sort()
     out = []
     for rid, (t, o, d) in enumerate(events):
-        out.append(make_request(rid, t, o, d, config.flexibility_s, net))
+        try:
+            out.append(make_request(rid, t, o, d, config.flexibility_s, net))
+        except ValueError as exc:  # uniform demand drew a pair with no route
+            raise ConfigError(f"demand OD pair {o}->{d}: {exc}") from exc
     return out
 
 

@@ -27,6 +27,20 @@ def grid3():
     return grid_network(3, 3)
 
 
+@pytest.fixture(scope="session")
+def skew3():
+    """3x3 row-major grid whose links take 40 s going east or south and
+    80 s going west or north: strongly connected, but the time from a to
+    b differs from b to a whenever b lies south-east of a."""
+    links = []
+    for n in range(9):
+        for nxt, ok in ((n + 1, n % 3 < 2), (n + 3, n < 6)):
+            if ok:
+                links.append(Link(n, nxt, 400.0, 40))
+                links.append(Link(nxt, n, 400.0, 80))
+    return RoadNetwork(range(9), links)
+
+
 def make_request(rid, t_r, origin, destination, flexibility_s, net):
     direct = net.shortest_travel_time(origin, destination)
     assert direct is not None

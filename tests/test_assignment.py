@@ -3,6 +3,7 @@ import random
 
 from ridematch.assignment import (BipartiteGraph, Edge, build_bipartite,
                                   feasible_vehicles, solve_assignment)
+from ridematch.network import Link, RoadNetwork
 
 from conftest import make_request, make_vehicle
 
@@ -55,7 +56,6 @@ class TestFeasibleVehicles:
         assert feasible_vehicles(line_net, req, [veh]) == []
 
     def test_unreachable_origin_excluded(self):
-        from ridematch.network import Link, RoadNetwork
         net = RoadNetwork([0, 1, 2], [Link(0, 1, 100.0, 10),
                                       Link(1, 0, 100.0, 10),
                                       Link(1, 2, 100.0, 10),
@@ -63,6 +63,18 @@ class TestFeasibleVehicles:
         req = make_request(1, 0, 0, 2, 600, net)
         trapped = make_vehicle(0, 2)
         assert [v.id for v in feasible_vehicles(net, req, [trapped])] == [0]
+
+    def test_one_way_reach_is_vehicle_to_origin(self):
+        # one-way ring 0 -> 1 -> 2 -> 0, 10 s a link: the approach is the
+        # time from the vehicle to the origin, not from the origin back
+        net = RoadNetwork([0, 1, 2], [Link(0, 1, 100.0, 10),
+                                      Link(1, 2, 100.0, 10),
+                                      Link(2, 0, 100.0, 10)])
+        req = make_request(1, 0, 0, 1, 15, net)
+        behind = make_vehicle(0, 2)  # 2 -> 0 is 10 s; 0 -> 2 is 20 s
+        ahead = make_vehicle(1, 1)   # 1 -> 0 is 20 s; 0 -> 1 is 10 s
+        got = feasible_vehicles(net, req, [behind, ahead])
+        assert [v.id for v in got] == [0]
 
 
 class TestBuildBipartite:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ridematch import cli
 from ridematch.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -248,6 +249,30 @@ class TestSweep:
         assert [[r[i] for i in keep] for r in serial] \
             == [[r[i] for i in keep] for r in parallel]
 
+    def test_jobs_capped_at_run_count(self, tmp_path, monkeypatch):
+        # the pool starts all its workers at once, so it must never be
+        # asked for more than there are runs; this fake starts none
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        path = self.write_spec(tmp_path, seeds=[1, 2])
+        assert main(["sweep", "--config", str(path), "--out-dir",
+                     str(tmp_path / "out"), "--jobs", "5000"]) == 0
+        assert asked == [2]
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         path = self.write_spec(tmp_path)
@@ -311,6 +336,10 @@ def test_unknown_command_rejected(capsys):
 
 
 GRID = {"kind": "grid", "rows": 3, "cols": 3}
+# 0 -> 1 -> 2 and no way back: uniform demand draws pairs with no route
+ONE_WAY_LINE = {"nodes": [{"id": n} for n in range(3)],
+                "links": [{"from": n, "to": n + 1, "length_m": 400.0,
+                           "travel_time_s": 40} for n in range(2)]}
 
 
 @pytest.mark.parametrize("command,overrides,files", [
@@ -346,11 +375,14 @@ GRID = {"kind": "grid", "rows": 3, "cols": 3}
     ("run", {"demand": {"kind": "file", "path": "req.json"}},
      {"req.json": {"requests": [{"t_r": 5, "origin": 0, "destination": 8,
                                  "flexibility_s": "60"}]}}),
+    ("run", {"network": {"kind": "file", "path": "net.json"},
+             "demand": {"kind": "uniform", "requests_per_hour": 60}},
+     {"net.json": ONE_WAY_LINE}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
         "origin-bool", "destination-float", "flexibility-float",
-        "flexibility-bool", "flexibility-string"])
+        "flexibility-bool", "flexibility-string", "uniform-no-route"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     monkeypatch.chdir(tmp_path)

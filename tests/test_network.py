@@ -52,11 +52,16 @@ class TestRouting:
                         links.append(Link(a, b, 100.0, rng.randrange(1, 10)))
             net = RoadNetwork(range(n), links)
             raw = [(l.src, l.dst, l.travel_time_s) for l in links]
+            expect = {src: bellman_ford(range(n), raw, src)
+                      for src in range(n)}
             for src in range(n):
-                expect = bellman_ford(range(n), raw, src)
                 for dst in range(n):
                     assert net.shortest_travel_time(src, dst) \
-                        == expect.get(dst)
+                        == expect[src].get(dst)
+            for dst in range(n):
+                assert net.travel_times_to(dst) == {
+                    src: expect[src][dst] for src in range(n)
+                    if dst in expect[src]}
 
     def test_paths_are_connected_and_optimal(self):
         rng = random.Random(11)

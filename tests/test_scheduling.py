@@ -362,30 +362,35 @@ class TestSplitMergeCost:
             assert arr is not None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), merge=st.booleans(),
-       n=st.integers(0, 4), capacity=st.integers(2, 6))
-def test_pricing_returns_first_optimum(grid3, seed, merge, n, capacity):
-    """On random grid3 instances the returned tour re-prices through
-    evaluate_tour to the returned cost and is the oracle's first optimum."""
+       n=st.integers(0, 4), capacity=st.integers(2, 6),
+       asymmetric=st.booleans())
+def test_pricing_returns_first_optimum(grid3, skew3, seed, merge, n,
+                                       capacity, asymmetric):
+    """On random grid3 instances, and on a 3x3 grid where a leg and its
+    reverse can differ in time, the returned tour re-prices through
+    evaluate_tour to the returned cost and is the oracle's first optimum
+    (the oracle's travel times come from a directed Bellman-Ford)."""
+    net = skew3 if asymmetric else grid3
     rng = random.Random(seed)
-    times = travel_times(grid3)
+    times = travel_times(net)
     if merge:
-        donor, d_reqs = donor_vehicle(rng, grid3, 1 + n % 2, t=0, vid=1,
+        donor, d_reqs = donor_vehicle(rng, net, 1 + n % 2, t=0, vid=1,
                                       base_rid=500, max_tries=2000)
-        veh, existing = vehicle_with_plan(rng, grid3, 1 + n % 3, t=0,
+        veh, existing = vehicle_with_plan(rng, net, 1 + n % 3, t=0,
                                           capacity=capacity, vid=2,
                                           base_rid=100, max_tries=2000)
         lookup = by_id(d_reqs + existing)
-        plan = split_merge_cost(grid3, 0, donor, veh, lookup)
+        plan = split_merge_cost(net, 0, donor, veh, lookup)
         cands = all_block_merges(veh.tour, *split_tour(donor.tour))
     else:
-        veh, existing = vehicle_with_plan(rng, grid3, n, t=0,
+        veh, existing = vehicle_with_plan(rng, net, n, t=0,
                                           capacity=capacity, vid=0,
                                           max_tries=2000)
-        new = random_request(rng, grid3, 9, t=0)
+        new = random_request(rng, net, 9, t=0)
         lookup = by_id(existing + [new])
-        plan = path_cost(grid3, 0, veh, new, by_id(existing))
+        plan = path_cost(net, 0, veh, new, by_id(existing))
         if veh.available_capacity < 1:  # every seat already promised
             assert not plan.feasible
             return
@@ -400,6 +405,6 @@ def test_pricing_returns_first_optimum(grid3, seed, merge, n, capacity):
         assert plan == (False, None, None)
         return
     assert plan.feasible and plan.tour == oracle_tour
-    repriced = evaluate_tour(grid3, 0, veh.location, depart, plan.tour,
+    repriced = evaluate_tour(net, 0, veh.location, depart, plan.tour,
                              len(veh.onboard), veh.capacity, lookup)
     assert repriced is not None and repriced[0] == plan.cost == oracle_cost

@@ -86,6 +86,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unreachable"):
             check_demand_reachability(cfg, build_network(cfg))
 
+    def test_uniform_demand_needs_two_nodes(self):
+        # a one-node network has no pair with origin != destination to draw
+        cfg = example_config(network={"kind": "grid", "rows": 1, "cols": 1})
+        with pytest.raises(ConfigError, match="at least 2 network nodes"):
+            check_demand_reachability(cfg, build_network(cfg))
+
 
 class TestDemand:
     def test_zero_rate_zero_requests(self, grid3):
