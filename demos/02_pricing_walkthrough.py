@@ -38,7 +38,6 @@ print(f"cab 0 takes rider 1 alone: cost {plan.cost} s, tour {fmt(plan.tour)}")
 
 # bookkeeping the engine does on commit
 cab.tour = plan.tour
-cab.scheduled.add(1)
 r1.assign_t = 0
 
 r2 = announce(2, origin=3, destination=5)
@@ -46,7 +45,6 @@ plan = path_cost(net, 0, cab, r2, requests)
 print(f"cab 0 adds rider 2 en route: cost {plan.cost} s, "
       f"tour {fmt(plan.tour)}")
 cab.tour = plan.tour
-cab.scheduled.add(2)
 r2.assign_t = 0
 
 print("\n--- step 2: an idle-but-assigned vehicle donates its work ---")
@@ -54,7 +52,6 @@ donor = Vehicle(id=1, capacity=4, location=1)
 r3 = announce(3, origin=1, destination=5)
 plan = path_cost(net, 0, donor, r3, requests)
 donor.tour = plan.tour
-donor.scheduled.add(3)
 r3.assign_t = 0
 print(f"cab 1 was just assigned rider 3: tour {fmt(donor.tour)}")
 print(f"cab 1 may donate (nothing aboard, no older promises): "

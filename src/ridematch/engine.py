@@ -75,10 +75,8 @@ def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
         veh = vehicles_by_id[edge.vehicle_id]
         req = requests_by_id[edge.request_id]
         veh.tour = edge.tour
-        veh.scheduled.add(req.id)
         veh.ready_at = max(veh.ready_at, t)
         req.set_status(ASSIGNED)
-        req.vehicle_id = veh.id
         req.assign_t = t
         outcome.finalized.append(req.id)
     return graph

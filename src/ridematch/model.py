@@ -50,7 +50,9 @@ class Request:
     ``e_r`` is the earliest pickup time (equal to the announcement time
     ``t_r`` here), ``l_r`` the latest dropoff time, ``f_r`` the flexibility
     budget ``l_r - e_r - H(O, D)``, and ``q_r = e_r + f_r`` the latest
-    pickup time.
+    pickup time.  ``assign_t`` is the update that committed the request;
+    which vehicle will serve it is read from the tours until the pickup,
+    which sets ``vehicle_id`` to the vehicle that picked the rider up.
     """
 
     id: int
@@ -104,9 +106,10 @@ def make_request(rid: int, t_r: int, origin: int, destination: int,
 class Vehicle:
     """A fleet vehicle and its current plan.
 
-    ``onboard`` holds request ids of passengers in the vehicle,
-    ``scheduled`` those assigned but not yet picked up; the union is the
-    occupant set that counts against capacity.  A scheduled request whose
+    The tour is the plan: it holds a dropoff for every request id in
+    ``onboard`` (passengers in the vehicle) and a pickup/dropoff pair for
+    every request assigned to the vehicle but not yet picked up.  Both
+    kinds count against capacity.  A request in the tour whose
     ``assign_t`` is the current update time was assigned in this update.
     ``ready_at`` is the earliest time the vehicle can leave ``location``;
     between stops it is the arrival time at ``location``.
@@ -118,17 +121,14 @@ class Vehicle:
     ready_at: int = 0
     tour: Tour = ()
     onboard: set[int] = field(default_factory=set)
-    scheduled: set[int] = field(default_factory=set)
     odometer_m: float = 0.0
     drive_time_s: int = 0
 
     @property
-    def idle(self) -> bool:
-        return not self.tour
-
-    @property
     def occupants(self) -> int:
-        return len(self.onboard) + len(self.scheduled)
+        # each rider aboard has one stop left in the tour (the dropoff)
+        # and each awaiting rider two, so the sum counts every rider twice
+        return (len(self.tour) + len(self.onboard)) // 2
 
     @property
     def available_capacity(self) -> int:

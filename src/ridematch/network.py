@@ -122,6 +122,19 @@ class RoadNetwork:
         self._require(dst)
         return self._distances_to(dst)
 
+    def reachable_from(self, src: int) -> set[int]:
+        """Every node some directed path from ``src`` reaches, ``src``
+        included; a walk over the out-links that keeps no state."""
+        self._require(src)
+        seen = {src}
+        stack = [src]
+        while stack:
+            for link in self._out[stack.pop()]:
+                if link.dst not in seen:
+                    seen.add(link.dst)
+                    stack.append(link.dst)
+        return seen
+
     def next_link(self, src: int, dst: int) -> Link | None:
         """First link of a time-shortest path from ``src`` to ``dst``, to the
         smallest node id among equal-cost choices; None when ``src == dst``

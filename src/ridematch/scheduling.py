@@ -81,22 +81,22 @@ def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
     pickup.  Longer ones keep their stop order and take the cheapest
     insertion of the new pickup/dropoff pair, tried in ascending (pickup
     slot, dropoff slot) order.  Ties keep the first candidate.
+    ``requests_by_id`` must hold ``request`` and every request in the tour.
     """
     if vehicle.available_capacity < 1:
         return INFEASIBLE
     stops = vehicle.tour + (Stop(PICKUP, request.id, request.origin),
                             Stop(DROPOFF, request.id, request.destination))
-    lookup = _with_request(requests_by_id, request)
     if len({s.request_id for s in vehicle.tour}) <= EXHAUSTIVE_REQUEST_LIMIT:
         pickup_at = {s.request_id: k for k, s in enumerate(stops)
                      if s.kind == PICKUP}
         after = [-1 if s.kind == PICKUP else pickup_at.get(s.request_id, -1)
                  for s in stops]
         return _cheapest(net, t, vehicle, [(s,) for s in stops], after,
-                         lookup)
+                         requests_by_id)
     units, after = _chains([(s,) for s in stops[-2:]],
                            [(s,) for s in vehicle.tour])
-    return _cheapest(net, t, vehicle, units, after, lookup)
+    return _cheapest(net, t, vehicle, units, after, requests_by_id)
 
 
 def split_tour(tour: Tour) -> tuple[Tour, Tour]:
@@ -119,15 +119,6 @@ def split_merge_cost(net: RoadNetwork, t: int, donor: Vehicle,
     blocks = [part for part in split_tour(donor.tour) if part]
     units, after = _chains(blocks, [(s,) for s in recipient.tour])
     return _cheapest(net, t, recipient, units, after, requests_by_id)
-
-
-def _with_request(requests_by_id: Mapping[int, Request],
-                  request: Request) -> Mapping[int, Request]:
-    if requests_by_id.get(request.id) is request:
-        return requests_by_id
-    merged = dict(requests_by_id)
-    merged[request.id] = request
-    return merged
 
 
 def _chains(*chains: Sequence[Tour]) -> tuple[list[Tour], list[int]]:

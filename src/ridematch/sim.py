@@ -195,10 +195,22 @@ def build_network(config: ScenarioConfig) -> RoadNetwork:
 
 def check_demand_reachability(config: ScenarioConfig,
                               net: RoadNetwork) -> None:
-    """Reject OD pairs with no route (or unknown nodes) up front, and
-    uniform demand on a network with no pair of distinct nodes to draw."""
-    if config.demand["kind"] == "uniform" and len(net.nodes) < 2:
-        raise ConfigError("uniform demand needs at least 2 network nodes")
+    """Reject OD pairs with no route (or unknown nodes) up front.
+
+    Uniform demand can draw any ordered pair of distinct nodes, so it needs
+    at least two nodes and a strongly connected network: every node
+    reaches the first node, and the first node reaches every node.
+    """
+    if config.demand["kind"] == "uniform":
+        if len(net.nodes) < 2:
+            raise ConfigError("uniform demand needs at least 2 network nodes")
+        hub = net.nodes[0]
+        into, out_of = net.travel_times_to(hub), net.reachable_from(hub)
+        for n in net.nodes:
+            if n not in into or n not in out_of:
+                o, d = (n, hub) if n not in into else (hub, n)
+                raise ConfigError(f"uniform demand needs a strongly connected "
+                                  f"network: no route from {o} to {d}")
     if config.demand["kind"] == "poisson":
         for rec in config.demand["od_rates"]:
             o, d = rec["origin"], rec["destination"]
@@ -347,7 +359,7 @@ def advance(state: SimulationState, until: int) -> None:
                 if stop.kind == PICKUP:
                     req.set_status(ONBOARD)
                     req.pickup_t = veh.ready_at
-                    veh.scheduled.discard(stop.request_id)
+                    req.vehicle_id = veh.id
                     veh.onboard.add(stop.request_id)
                     if len(veh.onboard) > veh.capacity:
                         raise RuntimeError(f"vehicle {veh.id} over capacity")

@@ -54,9 +54,9 @@ def donor_eligible(vehicle: Vehicle, t: int,
     belongs to an earlier commitment.
     """
     return (not vehicle.onboard
-            and bool(vehicle.scheduled)
-            and all(requests_by_id[rid].assign_t == t
-                    for rid in vehicle.scheduled))
+            and bool(vehicle.tour)
+            and all(requests_by_id[s.request_id].assign_t == t
+                    for s in vehicle.tour))
 
 
 def build_vehicle_graph(net: RoadNetwork, t: int,
@@ -66,8 +66,9 @@ def build_vehicle_graph(net: RoadNetwork, t: int,
                         ) -> VehicleGraph:
     """Directed merge graph over vehicles assigned work this update.
 
-    A vehicle is a node when some request it has yet to pick up was
-    assigned at ``t``.  ``feasible_index`` maps each request id to the
+    A vehicle is a node when some request in its tour was assigned at
+    ``t``; nobody is picked up inside an update, so that request still
+    awaits its pickup.  ``feasible_index`` maps each request id to the
     vehicles that passed the reachability filter when the request was
     matched; a recipient must appear there for at least one of the donor's
     requests.  An edge also needs the donor to be no more loaded than the
@@ -75,9 +76,9 @@ def build_vehicle_graph(net: RoadNetwork, t: int,
     and a feasible merged tour.
     """
     assigned = sorted((v for v in vehicles
-                       if v.scheduled  # most vehicles: no generator built
-                       and any(requests_by_id[rid].assign_t == t
-                               for rid in v.scheduled)),
+                       if v.tour  # most vehicles: no generator built
+                       and any(requests_by_id[s.request_id].assign_t == t
+                               for s in v.tour)),
                       key=lambda v: v.id)
     by_id = {v.id: v for v in assigned}
     edges: list[MergeEdge] = []
@@ -85,15 +86,15 @@ def build_vehicle_graph(net: RoadNetwork, t: int,
         if not donor_eligible(donor, t, requests_by_id):
             continue
         reachable: set[int] = set()
-        for rid in donor.scheduled:
-            reachable.update(feasible_index.get(rid, ()))
+        for stop in donor.tour:
+            reachable.update(feasible_index.get(stop.request_id, ()))
         for recipient_id in sorted(reachable):
             if recipient_id == donor.id or recipient_id not in by_id:
                 continue
             recipient = by_id[recipient_id]
             if donor.occupants > recipient.occupants:
                 continue
-            if len(donor.scheduled) > recipient.available_capacity:
+            if donor.occupants > recipient.available_capacity:
                 continue
             plan = split_merge_cost(net, t, donor, recipient, requests_by_id)
             if plan.feasible:
@@ -132,22 +133,15 @@ def select_merges(graph: VehicleGraph) -> list[MergeEdge]:
 
 
 def apply_merges(merges: Sequence[MergeEdge],
-                 vehicles_by_id: Mapping[int, Vehicle],
-                 requests_by_id: Mapping[int, Request]) -> None:
+                 vehicles_by_id: Mapping[int, Vehicle]) -> None:
     """Hand each donor's plan to its recipient.
 
     The edges must be vertex-disjoint, as the matching ``select_merges``
     returns is, so every edge still prices the plans it was built from.
     """
     for edge in merges:
-        donor = vehicles_by_id[edge.donor_id]
-        recipient = vehicles_by_id[edge.recipient_id]
-        recipient.tour = edge.merged_tour
-        recipient.scheduled |= donor.scheduled
-        for rid in sorted(donor.scheduled):
-            requests_by_id[rid].vehicle_id = recipient.id
-        donor.tour = ()
-        donor.scheduled = set()
+        vehicles_by_id[edge.recipient_id].tour = edge.merged_tour
+        vehicles_by_id[edge.donor_id].tour = ()
 
 
 def step2_loop(net: RoadNetwork, t: int, vehicles: Sequence[Vehicle],
@@ -174,7 +168,7 @@ def step2_loop(net: RoadNetwork, t: int, vehicles: Sequence[Vehicle],
         t0 = time.perf_counter()
         merges = select_merges(graph)
         stats.solution_s += time.perf_counter() - t0
-        apply_merges(merges, vehicles_by_id, requests_by_id)
+        apply_merges(merges, vehicles_by_id)
         stats.rounds += 1
         stats.merges += len(merges)
         if stats.rounds >= stats.initial_assigned:

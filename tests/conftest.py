@@ -62,6 +62,11 @@ def dropoff(rid, node):
     return Stop(DROPOFF, rid, node)
 
 
+def pickups(tour):
+    """Ids of the riders a tour has yet to pick up."""
+    return {s.request_id for s in tour if s.kind == PICKUP}
+
+
 def random_net_nodes(net, rng, k):
     return [net.nodes[rng.randrange(len(net.nodes))] for _ in range(k)]
 

@@ -84,9 +84,7 @@ def vehicle_with_plan(rng: random.Random, net, n_requests, t=0, capacity=4,
                 r.vehicle_id = vid
         veh = Vehicle(id=vid, capacity=capacity, location=location,
                       ready_at=ready_at, tour=tour,
-                      onboard=set(onboard_ids),
-                      scheduled={r.id for r in requests
-                                 if r.id not in onboard_ids})
+                      onboard=set(onboard_ids))
         return veh, requests
     raise AssertionError(f"no feasible plan found for n={n_requests}")
 

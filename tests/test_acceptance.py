@@ -10,13 +10,16 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ridematch import sim
 from ridematch.assignment import BipartiteGraph, Edge, solve_assignment
-from ridematch.model import SERVED, Stop, PICKUP, DROPOFF
+from ridematch.model import (ASSIGNED, ONBOARD, SERVED, Stop, PICKUP, DROPOFF,
+                             validate_tour)
 from ridematch.scheduling import path_cost, split_merge_cost
 from ridematch.sim import commuter_config, example_config, run_scenario, \
     write_trip_log
@@ -38,9 +41,10 @@ def verdict(label: str, ok: bool, detail: str = "") -> None:
 # --- shared scenario batches -------------------------------------------------
 
 # SHA-256 of the trip log of every batch_config(seed), of irregular_config
-# and of each config in test_reruns_are_byte_identical.  A rewrite of
-# routing, pricing or matching must keep them; only a deliberate change of
-# results may re-record them.
+# and of each of the spot_configs, plus (under "demos", checked in
+# test_cli) of each demo's stdout.  A rewrite of routing, pricing or
+# matching must keep them; only a deliberate change of results may
+# re-record them.
 PINNED = json.loads(
     Path(__file__).with_name("pinned_trip_logs.json").read_text())
 
@@ -103,6 +107,15 @@ def irregular_config(tmp_path):
         network={"kind": "file", "path": str(path)},
         demand={"kind": "uniform", "requests_per_hour": 240},
         fleet_size=5, capacity=3, flexibility_s=180, seed=3)
+
+
+def spot_configs():
+    """The three configs whose re-runs are pinned under ``spots``."""
+    return [
+        commuter_config(seed=123),
+        example_config(seed=7),
+        example_config(seed=9, matcher="baseline", update_interval_s=60),
+    ]
 
 
 @pytest.fixture(scope="session")
@@ -183,7 +196,7 @@ def test_insertion_pricing_is_exact():
         veh, existing = vehicle_with_plan(rng, net, n, t=0, capacity=6,
                                           vid=0, max_tries=5000)
         new = random_request(rng, net, 9, t=0)
-        lookup = {r.id: r for r in existing}
+        lookup = {r.id: r for r in existing + [new]}
         plan = path_cost(net, 0, veh, new, lookup)
         windows = windows_of(existing + [new])
         if n <= 2:
@@ -361,13 +374,8 @@ def test_larger_capacity_serves_no_fewer():
 
 def test_reruns_are_byte_identical(tmp_path):
     """Identical config and seed must reproduce the trip log exactly."""
-    spots = [
-        commuter_config(seed=123),
-        example_config(seed=7),
-        example_config(seed=9, matcher="baseline", update_interval_s=60),
-    ]
     ok = True
-    for i, cfg in enumerate(spots):
+    for i, cfg in enumerate(spot_configs()):
         logs = []
         for attempt in ("a", "b"):
             result = run_scenario(cfg)
@@ -394,6 +402,66 @@ def test_trip_logs_match_pinned_hashes(scenario_batch, tmp_path):
             f"{len(scenario_batch)} grid scenarios and 1 file network, "
             f"{len(changed)} changed"
             + (f"; first: {changed[0]}" if changed else ""))
+
+
+def plan_bookkeeping_faults(state) -> list[str]:
+    """Ways the fleet's tours fail to be the whole plan of ``state``."""
+    faults = []
+    pickups, aboard, in_tours, holder = Counter(), Counter(), set(), {}
+    for veh in state.vehicles:
+        try:
+            validate_tour(veh.tour, veh.onboard)
+        except ValueError as exc:
+            faults.append(f"v{veh.id}: {exc}")
+        pickups.update(s.request_id for s in veh.tour if s.kind == PICKUP)
+        aboard.update(veh.onboard)
+        in_tours.update(s.request_id for s in veh.tour)
+        holder.update(dict.fromkeys(veh.onboard, veh.id))
+    for req in state.requests:
+        if req.status == ASSIGNED:
+            ok = (pickups[req.id] == 1 and not aboard[req.id]
+                  and req.vehicle_id is None)
+        elif req.status == ONBOARD:
+            ok = (aboard[req.id] == 1 and not pickups[req.id]
+                  and req.vehicle_id == holder[req.id])
+        else:
+            ok = req.id not in in_tours and not aboard[req.id]
+        if not ok:
+            faults.append(f"r{req.id} ({req.status})")
+    return [f"t={state.clock} {f}" for f in faults]
+
+
+def test_tours_are_the_whole_plan(monkeypatch, tmp_path):
+    """Before every advance, on the spot configs, the file network and ten
+    batch seeds: every tour is well formed, every assigned rider has its
+    pickup in exactly one tour, every rider aboard is in exactly one
+    vehicle, which is its ``vehicle_id``, and no other rider is in a
+    tour.  The checked runs keep their pinned trip logs."""
+    advance = sim.advance
+    faults: list[str] = []
+    checks = 0
+
+    def checked_advance(state, until):
+        nonlocal checks
+        checks += 1
+        faults.extend(plan_bookkeeping_faults(state))
+        advance(state, until)
+
+    monkeypatch.setattr(sim, "advance", checked_advance)
+    runs = ([(cfg, PINNED["spots"][i])
+             for i, cfg in enumerate(spot_configs())]
+            + [(irregular_config(tmp_path), PINNED["irregular"])]
+            + [(batch_config(seed), PINNED["batch"][seed])
+               for seed in range(10)])
+    changed = 0
+    for i, (cfg, pinned) in enumerate(runs):
+        result = run_scenario(cfg)
+        changed += trip_log_sha256(result.trip_records,
+                                   tmp_path / f"checked{i}.csv") != pinned
+    verdict("tours are the whole plan", not faults and not changed,
+            f"{len(runs)} scenarios, {checks} advances checked, "
+            f"{len(faults)} faults, {changed} trip logs changed"
+            + (f"; first: {faults[0]}" if faults else ""))
 
 
 def test_merge_loop_round_bound(scenario_batch):

@@ -5,7 +5,7 @@ from ridematch.assignment import (BipartiteGraph, Edge, build_bipartite,
                                   feasible_vehicles, solve_assignment)
 from ridematch.network import Link, RoadNetwork
 
-from conftest import make_request, make_vehicle
+from conftest import dropoff, make_request, make_vehicle
 
 
 def graph_from_costs(costs):
@@ -51,18 +51,31 @@ class TestFeasibleVehicles:
 
     def test_no_free_seat_excluded(self, line_net):
         req = make_request(1, 0, 2, 4, 600, line_net)
-        veh = make_vehicle(0, 2, capacity=1)
+        veh = make_vehicle(0, 2, capacity=1, tour=(dropoff(5, 3),))
         veh.onboard = {5}
+        assert veh.available_capacity == 0
         assert feasible_vehicles(line_net, req, [veh]) == []
 
     def test_unreachable_origin_excluded(self):
+        # node 2 has no out-link: a vehicle there can never reach node 0
+        net = RoadNetwork([0, 1, 2], [Link(0, 1, 100.0, 10),
+                                      Link(1, 0, 100.0, 10),
+                                      Link(1, 2, 100.0, 10)])
+        req = make_request(1, 0, 0, 2, 600, net)
+        trapped = make_vehicle(0, 2)
+        free = make_vehicle(1, 1)
+        got = feasible_vehicles(net, req, [trapped, free])
+        assert [v.id for v in got] == [1]
+
+    def test_reachable_within_budget_included(self):
         net = RoadNetwork([0, 1, 2], [Link(0, 1, 100.0, 10),
                                       Link(1, 0, 100.0, 10),
                                       Link(1, 2, 100.0, 10),
                                       Link(2, 1, 100.0, 10)])
         req = make_request(1, 0, 0, 2, 600, net)
-        trapped = make_vehicle(0, 2)
-        assert [v.id for v in feasible_vehicles(net, req, [trapped])] == [0]
+        two_links_away = make_vehicle(0, 2)
+        got = feasible_vehicles(net, req, [two_links_away])
+        assert [v.id for v in got] == [0]
 
     def test_one_way_reach_is_vehicle_to_origin(self):
         # one-way ring 0 -> 1 -> 2 -> 0, 10 s a link: the approach is the

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -123,6 +124,21 @@ class TestValidate:
                           "rate_per_hour": 5}]})
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "unreachable" in capsys.readouterr().err
+
+    def test_uniform_demand_on_one_way_ring(self, tmp_path, capsys):
+        # 0 -> 1 -> 2 -> 0: every link one-way, yet every pair has a route
+        net = {"nodes": [{"id": n} for n in range(3)],
+               "links": [{"from": n, "to": (n + 1) % 3, "length_m": 400.0,
+                          "travel_time_s": 40} for n in range(3)]}
+        net_path = tmp_path / "ring.json"
+        net_path.write_text(json.dumps(net))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, network={"kind": "file", "path": str(net_path)},
+                     demand={"kind": "uniform", "requests_per_hour": 60})
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert "ok" in capsys.readouterr().out
+        assert main(["run", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "out")]) == 0
 
 
 class TestCompare:
@@ -318,16 +334,20 @@ class TestEntryPoint:
         assert proc.returncode == 0
 
     def test_demos_run(self, tmp_path):
+        # the demos print no wall-clock times, so their stdout is pinned
+        pinned = json.loads((ROOT / "tests" / "pinned_trip_logs.json")
+                            .read_text())["demos"]
         src = str(ROOT / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         demos = sorted((ROOT / "demos").glob("[0-9]*.py"))
-        assert len(demos) == 4
+        assert [d.name for d in demos] == sorted(pinned)
         for demo in demos:
             proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
-                                  env=env, capture_output=True, text=True,
-                                  timeout=300)
+                                  env=env, capture_output=True, timeout=300)
             assert proc.returncode == 0, (demo.name, proc.stderr)
+            assert hashlib.sha256(proc.stdout).hexdigest() \
+                == pinned[demo.name], demo.name
 
 
 def test_unknown_command_rejected(capsys):
@@ -378,11 +398,15 @@ ONE_WAY_LINE = {"nodes": [{"id": n} for n in range(3)],
     ("run", {"network": {"kind": "file", "path": "net.json"},
              "demand": {"kind": "uniform", "requests_per_hour": 60}},
      {"net.json": ONE_WAY_LINE}),
+    ("validate", {"network": {"kind": "file", "path": "net.json"},
+                  "demand": {"kind": "uniform", "requests_per_hour": 60}},
+     {"net.json": ONE_WAY_LINE}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
         "origin-bool", "destination-float", "flexibility-float",
-        "flexibility-bool", "flexibility-string", "uniform-no-route"])
+        "flexibility-bool", "flexibility-string", "uniform-no-route",
+        "uniform-not-strongly-connected"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     monkeypatch.chdir(tmp_path)

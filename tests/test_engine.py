@@ -4,7 +4,7 @@ from ridematch.engine import baseline_update, gmomatch_update
 from ridematch.model import ASSIGNED, DROPOFF, EXPIRED, PENDING, PICKUP
 from ridematch.vehicle_graph import donor_eligible
 
-from conftest import make_request, make_vehicle
+from conftest import make_request, make_vehicle, pickups
 from instance_gen import random_request
 
 
@@ -48,9 +48,8 @@ class TestColocatedBurst:
         assert sorted(out.finalized) == [1, 2, 3]
         assert out.deferred == []
         assert out.iterations <= len(reqs) + 1
-        assert veh.scheduled == {1, 2, 3}
-        picks = [s for s in veh.tour if s.kind == PICKUP]
-        assert len(picks) == 3
+        picks = [s.request_id for s in veh.tour if s.kind == PICKUP]
+        assert sorted(picks) == [1, 2, 3]
 
     def test_zero_requests(self, line_net):
         veh = make_vehicle(0, 0)
@@ -78,10 +77,9 @@ class TestCommitEffects:
         out = gmomatch_update(line_net, 30, [req], [veh], by_id([req]))
         assert out.finalized == [1]
         assert req.status == ASSIGNED
-        assert req.vehicle_id == 0
+        assert req.vehicle_id is None  # written at the pickup
         assert req.assign_t == 30
         assert veh.ready_at == 30  # pinned to the update instant
-        assert veh.scheduled == {1}
         stops = [(s.kind, s.request_id) for s in veh.tour]
         assert stops == [(PICKUP, 1), (DROPOFF, 1)]
 
@@ -96,8 +94,8 @@ class TestCommitEffects:
         r1 = make_request(1, 0, 1, 3, 600, line_net)
         veh = make_vehicle(0, 0)
 
-        def fresh(t, lookup):  # R_v: scheduled requests assigned at t
-            return {rid for rid in veh.scheduled
+        def fresh(t, lookup):  # R_v: riders awaiting pickup assigned at t
+            return {rid for rid in pickups(veh.tour)
                     if lookup[rid].assign_t == t}
 
         gmomatch_update(line_net, 0, [r1], [veh], by_id([r1]))
@@ -107,7 +105,7 @@ class TestCommitEffects:
         lookup = by_id([r1, r2])
         gmomatch_update(line_net, 30, [r2], [veh], lookup)
         assert fresh(30, lookup) == {2}  # R_v is per update epoch
-        assert veh.scheduled == {1, 2}
+        assert pickups(veh.tour) == {1, 2}
         assert not donor_eligible(veh, 30, lookup)  # r1 is older work
 
 

@@ -72,17 +72,23 @@ class TestStatus:
 class TestVehicle:
     def test_capacity_accounting(self):
         veh = Vehicle(id=0, capacity=4, location=0)
-        assert veh.idle
+        assert not veh.tour
         assert veh.available_capacity == 4
+        # riders 1 and 2 aboard, rider 3 still to be picked up
         veh.onboard = {1, 2}
-        veh.scheduled = {3}
+        veh.tour = (Stop(DROPOFF, 1, 2), Stop(PICKUP, 3, 1),
+                    Stop(DROPOFF, 2, 3), Stop(DROPOFF, 3, 4))
+        validate_tour(veh.tour, veh.onboard)
         assert veh.occupants == 3
         assert veh.available_capacity == 1
 
     def test_idle_tracks_tour(self):
         veh = Vehicle(id=0, capacity=4, location=0,
                       tour=(Stop(DROPOFF, 1, 3),), onboard={1})
-        assert not veh.idle
+        assert veh.tour and veh.occupants == 1
+        # the last dropoff empties the tour and frees every seat
+        veh.tour, veh.onboard = (), set()
+        assert veh.occupants == 0 and veh.available_capacity == 4
 
 
 class TestValidateTour:

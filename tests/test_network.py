@@ -27,6 +27,8 @@ class TestRouting:
         assert net.shortest_travel_time(0, 2) is None
         assert net.shortest_path(0, 2) is None
         assert net.shortest_travel_time(1, 0) is None  # one-way
+        assert net.reachable_from(0) == {0, 1}
+        assert net.reachable_from(2) == {2}
 
     def test_unknown_node_raises(self, line_net):
         with pytest.raises(KeyError):
@@ -55,6 +57,7 @@ class TestRouting:
             expect = {src: bellman_ford(range(n), raw, src)
                       for src in range(n)}
             for src in range(n):
+                assert net.reachable_from(src) == set(expect[src])
                 for dst in range(n):
                     assert net.shortest_travel_time(src, dst) \
                         == expect[src].get(dst)

@@ -103,7 +103,7 @@ class TestCandidateGenerators:
             veh, existing = vehicle_with_plan(rng, grid3, rng.randrange(3, 5),
                                               t=0, capacity=6, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing))
+            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
             if not plan.feasible:
                 continue
             rest = tuple(s for s in plan.tour if s.request_id != 9)
@@ -119,14 +119,14 @@ class TestCandidateGenerators:
         r9 = make_request(9, 0, 0, 1, 300, line_net)
         veh = make_vehicle(0, 0, tour=(dropoff(7, 4),))
         veh.onboard = {7}
-        plan = path_cost(line_net, 0, veh, r9, by_id([r7]))
+        plan = path_cost(line_net, 0, veh, r9, by_id([r7, r9]))
         assert plan.tour == (pickup(9, 0), dropoff(9, 1), dropoff(7, 4))
         rng = random.Random(13)
         for trial in range(60):
             veh, existing = vehicle_with_plan(rng, grid3, rng.randrange(0, 3),
                                               t=0, capacity=4, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing))
+            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
             if not plan.feasible:
                 continue
             pair = (Stop(PICKUP, 9, new.origin),
@@ -169,7 +169,7 @@ class TestPathCost:
     def test_idle_vehicle_direct_ride(self, line_net):
         req = make_request(1, 0, 1, 3, 300, line_net)
         veh = make_vehicle(0, 0)
-        plan = path_cost(line_net, 0, veh, req, {})
+        plan = path_cost(line_net, 0, veh, req, by_id([req]))
         assert plan.feasible
         assert plan.cost == 60 + 120  # approach + ride
         assert plan.tour == (pickup(1, 1), dropoff(1, 3))
@@ -181,20 +181,20 @@ class TestPathCost:
         veh.tour = (dropoff(7, 3), dropoff(8, 3))
         other = [make_request(7, 0, 0, 3, 600, line_net),
                  make_request(8, 0, 0, 3, 600, line_net)]
-        assert not path_cost(line_net, 0, veh, req, by_id(other)).feasible
+        assert not path_cost(line_net, 0, veh, req,
+                             by_id(other + [req])).feasible
 
     def test_expired_window_infeasible(self, line_net):
         req = make_request(1, 0, 4, 0, 30, line_net)  # q_r = 30
         veh = make_vehicle(0, 0)  # 240 s away
-        assert not path_cost(line_net, 100, veh, req, {}).feasible
+        assert not path_cost(line_net, 100, veh, req, by_id([req])).feasible
 
     def test_shared_ride_reorders_short_tours(self, line_net):
         # vehicle en route for rider 7 (1 -> 3); co-located rider 9 joins
         r7 = make_request(7, 0, 1, 3, 300, line_net)
         r9 = make_request(9, 0, 1, 3, 300, line_net)
-        veh = make_vehicle(0, 0, tour=(pickup(7, 1), dropoff(7, 3)),
-                           scheduled={7})
-        plan = path_cost(line_net, 0, veh, r9, by_id([r7]))
+        veh = make_vehicle(0, 0, tour=(pickup(7, 1), dropoff(7, 3)))
+        plan = path_cost(line_net, 0, veh, r9, by_id([r7, r9]))
         assert plan.feasible
         assert plan.cost == 180  # both picked at 1, dropped at 3
         kinds = [(s.kind, s.node) for s in plan.tour]
@@ -208,7 +208,7 @@ class TestPathCost:
             veh, existing = vehicle_with_plan(rng, grid3, n, t=0,
                                               capacity=4, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing))
+            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
             stops = list(veh.tour) + [Stop(PICKUP, 9, new.origin),
                                       Stop(DROPOFF, 9, new.destination)]
             windows = windows_of(existing + [new])
@@ -230,7 +230,7 @@ class TestPathCost:
             veh, existing = vehicle_with_plan(rng, grid3, n, t=0,
                                               capacity=6, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing))
+            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
             cands = all_pair_insertions(veh.tour,
                                         Stop(PICKUP, 9, new.origin),
                                         Stop(DROPOFF, 9, new.destination))
@@ -255,7 +255,7 @@ class TestPathCost:
             veh, existing = vehicle_with_plan(rng, grid3, 3, t=0,
                                               capacity=6, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing))
+            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
             cands = all_pair_insertions(veh.tour,
                                         Stop(PICKUP, 9, new.origin),
                                         Stop(DROPOFF, 9, new.destination))
@@ -271,7 +271,7 @@ class TestPathCost:
             veh, existing = vehicle_with_plan(rng, grid3, rng.randrange(0, 3),
                                               t=0, capacity=4, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing))
+            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
             stops = list(veh.tour) + [Stop(PICKUP, 9, new.origin),
                                       Stop(DROPOFF, 9, new.destination)]
             ties += first_optimum_ties(plan, times, veh,
@@ -285,10 +285,8 @@ class TestSplitMergeCost:
         # donor at 4 with r1 (0 -> 2); recipient at 0 with r2 (0 -> 2)
         r1 = make_request(1, 0, 0, 2, 600, line_net)
         r2 = make_request(2, 0, 0, 2, 600, line_net)
-        donor = make_vehicle(1, 4, tour=(pickup(1, 0), dropoff(1, 2)),
-                             scheduled={1})
-        recipient = make_vehicle(2, 0, tour=(pickup(2, 0), dropoff(2, 2)),
-                                 scheduled={2})
+        donor = make_vehicle(1, 4, tour=(pickup(1, 0), dropoff(1, 2)))
+        recipient = make_vehicle(2, 0, tour=(pickup(2, 0), dropoff(2, 2)))
         plan = split_merge_cost(line_net, 0, donor, recipient,
                                 by_id([r1, r2]))
         assert plan.feasible
@@ -346,12 +344,10 @@ class TestSplitMergeCost:
     def test_infeasible_when_recipient_lacks_seats(self, line_net):
         reqs = [make_request(i, 0, 0, 2, 600, line_net) for i in (1, 2, 3)]
         donor = make_vehicle(1, 0, capacity=4,
-                             tour=(pickup(1, 0), dropoff(1, 2)),
-                             scheduled={1})
+                             tour=(pickup(1, 0), dropoff(1, 2)))
         recipient = make_vehicle(2, 0, capacity=1,
                                  tour=(pickup(2, 0), dropoff(2, 2),
-                                       pickup(3, 2), dropoff(3, 4)),
-                                 scheduled={2, 3})
+                                       pickup(3, 2), dropoff(3, 4)))
         reqs[2] = make_request(3, 0, 2, 4, 600, line_net)
         plan = split_merge_cost(line_net, 0, donor, recipient, by_id(reqs))
         # capacity 1 can still chain riders one at a time, but never two
@@ -390,7 +386,7 @@ def test_pricing_returns_first_optimum(grid3, skew3, seed, merge, n,
                                           max_tries=2000)
         new = random_request(rng, net, 9, t=0)
         lookup = by_id(existing + [new])
-        plan = path_cost(net, 0, veh, new, by_id(existing))
+        plan = path_cost(net, 0, veh, new, lookup)
         if veh.available_capacity < 1:  # every seat already promised
             assert not plan.feasible
             return

@@ -92,6 +92,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least 2 network nodes"):
             check_demand_reachability(cfg, build_network(cfg))
 
+    @pytest.mark.parametrize("links,cut", [
+        ([(0, 1), (1, 0), (1, 2)], "from 2 to 0"),  # node 2 is a dead end
+        ([(0, 1), (1, 0), (2, 1)], "from 0 to 2"),  # nothing enters node 2
+    ])
+    def test_uniform_demand_needs_strong_connectivity(self, tmp_path, links,
+                                                      cut):
+        net_doc = {"nodes": [{"id": n} for n in range(3)],
+                   "links": [{"from": a, "to": b, "length_m": 100.0,
+                              "travel_time_s": 10} for a, b in links]}
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net_doc))
+        cfg = ScenarioConfig.from_dict(minimal_doc(
+            network={"kind": "file", "path": str(net_path)}))
+        with pytest.raises(ConfigError, match=f"no route {cut}"):
+            check_demand_reachability(cfg, build_network(cfg))
+
 
 class TestDemand:
     def test_zero_rate_zero_requests(self, grid3):
@@ -179,7 +195,7 @@ class TestFleet:
                                  np.random.default_rng(2))
         assert len(fleet) == 7
         assert all(v.location == 4 for v in fleet)
-        assert all(v.idle and v.available_capacity == 4 for v in fleet)
+        assert all(not v.tour and v.available_capacity == 4 for v in fleet)
 
     def test_two_node_split_binomial(self, grid3):
         cfg = ScenarioConfig.from_dict(minimal_doc(fleet_size=4000))
@@ -213,16 +229,16 @@ class TestAdvance:
     def test_hand_replay_single_trip(self, line_net):
         req = make_request(1, 0, 1, 2, 300, line_net)
         req.status = "assigned"
-        veh = make_vehicle(0, 0, tour=(pickup(1, 1), dropoff(1, 2)),
-                           scheduled={1})
+        veh = make_vehicle(0, 0, tour=(pickup(1, 1), dropoff(1, 2)))
         state = self.state(line_net, [veh], [req])
         advance(state, 120)
         assert req.status == SERVED
         assert req.pickup_t == 60
+        assert req.vehicle_id == 0  # recorded at the pickup
         assert req.dropoff_t == 120
         assert veh.odometer_m == 1000.0
         assert veh.drive_time_s == 120
-        assert veh.idle and veh.location == 2
+        assert not veh.tour and veh.location == 2
 
     def test_advance_zero_is_identity(self, line_net):
         veh = make_vehicle(0, 0)
@@ -241,8 +257,7 @@ class TestAdvance:
     def test_midlink_position_is_next_node(self, line_net):
         req = make_request(1, 0, 3, 4, 300, line_net)
         req.status = "assigned"
-        veh = make_vehicle(0, 0, tour=(pickup(1, 3), dropoff(1, 4)),
-                           scheduled={1})
+        veh = make_vehicle(0, 0, tour=(pickup(1, 3), dropoff(1, 4)))
         state = self.state(line_net, [veh], [req])
         advance(state, 90)  # 90 s into a 60 s/link trip toward node 3
         assert veh.location == 2     # already committed to the 1->2 hop
@@ -269,8 +284,7 @@ class TestAdvance:
                                       Link(1, 2, 100.0, 10)])
         req = make_request(1, 0, 1, 2, 300, net)
         req.status = "assigned"
-        veh = make_vehicle(0, 2, tour=(pickup(1, 1), dropoff(1, 2)),
-                           scheduled={1})
+        veh = make_vehicle(0, 2, tour=(pickup(1, 1), dropoff(1, 2)))
         state = self.state(net, [veh], [req])
         with pytest.raises(RuntimeError, match="unreachable stop"):
             advance(state, 60)
@@ -284,8 +298,8 @@ class TestAdvance:
     def test_late_committed_stop_raises(self, line_net):
         req = make_request(1, 0, 4, 0, 30, line_net)  # pickup due by 30
         req.status = "assigned"
-        veh = make_vehicle(0, 0, tour=(pickup(1, 4), dropoff(1, 0)),
-                           scheduled={1})  # 240 s from the pickup node
+        # 240 s from the pickup node
+        veh = make_vehicle(0, 0, tour=(pickup(1, 4), dropoff(1, 0)))
         state = self.state(line_net, [veh], [req])
         with pytest.raises(RuntimeError, match="after its deadline"):
             advance(state, 600)
@@ -374,7 +388,7 @@ class TestRunScenario:
 
     def test_vehicles_quiesce(self):
         result = run_scenario(example_config(seed=2))
-        assert all(v.idle and not v.onboard
+        assert all(not v.tour and not v.onboard
                    for v in result.state.vehicles)
         assert all(not r.status == "pending"
                    for r in result.state.requests)

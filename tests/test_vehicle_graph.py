@@ -4,7 +4,7 @@ from ridematch.vehicle_graph import (MergeEdge, VehicleGraph, apply_merges,
                                      build_vehicle_graph, donor_eligible,
                                      select_merges, step2_loop)
 
-from conftest import dropoff, make_request, make_vehicle, pickup
+from conftest import dropoff, make_request, make_vehicle, pickup, pickups
 from oracles import best_matching_weight
 
 
@@ -13,11 +13,10 @@ def by_id(requests):
 
 
 def fresh_assigned(vid, node, requests, tour, t=0, capacity=4):
-    """A vehicle whose scheduled requests were all assigned at ``t``."""
+    """A vehicle with ``tour``, its riders ``requests`` assigned at ``t``."""
     for r in requests:
         r.assign_t = t
-    return make_vehicle(vid, node, capacity=capacity, tour=tour,
-                        scheduled={r.id for r in requests})
+    return make_vehicle(vid, node, capacity=capacity, tour=tour)
 
 
 class TestDonorEligibility:
@@ -28,18 +27,19 @@ class TestDonorEligibility:
 
     def test_onboard_passenger_blocks(self, line_net):
         r5 = make_request(5, 0, 0, 2, 600, line_net)
-        veh = fresh_assigned(1, 0, [r5], (pickup(5, 0), dropoff(5, 2)))
+        r9 = make_request(9, 0, 0, 3, 600, line_net)  # aboard, for node 3
+        veh = fresh_assigned(1, 0, [r5], (pickup(5, 0), dropoff(5, 2),
+                                          dropoff(9, 3)))
         veh.onboard = {9}
-        assert not donor_eligible(veh, 0, by_id([r5]))
+        assert not donor_eligible(veh, 0, by_id([r5, r9]))
 
     def test_prior_commitments_block(self, line_net):
-        # scheduled rider 7 was assigned an update before rider 5
+        # rider 7, awaiting pickup, was assigned an update before rider 5
         r5 = make_request(5, 30, 0, 2, 600, line_net)
         r7 = make_request(7, 0, 1, 3, 600, line_net)
         r7.assign_t = 0
         veh = fresh_assigned(1, 0, [r5], (pickup(7, 1), dropoff(7, 3),
                                           pickup(5, 0), dropoff(5, 2)), t=30)
-        veh.scheduled = {5, 7}
         assert not donor_eligible(veh, 30, by_id([r5, r7]))
 
     def test_nothing_assigned_blocks(self):
@@ -83,12 +83,12 @@ class TestBuildVehicleGraph:
         r1, r2, donor, recipient = self.setup_pair(line_net)
         donor.onboard = set()
         recipient.onboard = set()
-        # donor now carries two scheduled riders vs recipient's one
+        # donor now awaits two riders vs recipient's one
         r3 = make_request(3, 0, 0, 2, 600, line_net)
         r3.assign_t = 0
         donor.tour = (pickup(1, 0), dropoff(1, 2), pickup(3, 0),
                       dropoff(3, 2))
-        donor.scheduled = {1, 3}
+        assert donor.occupants == 2 > recipient.occupants
         graph = build_vehicle_graph(line_net, 0, [donor, recipient],
                                     by_id([r1, r2, r3]),
                                     {1: (1, 2), 2: (2,), 3: (1, 2)})
@@ -178,15 +178,16 @@ class TestApplyMerges:
         merged = (pickup(2, 0), pickup(1, 0), dropoff(2, 2), dropoff(1, 2))
         edge = MergeEdge(1, 2, 120, merged)
         lookup = by_id([r1, r2])
-        r1.vehicle_id = 1
-        apply_merges([edge], {1: donor, 2: recipient}, lookup)
-        assert donor.tour == () and donor.scheduled == set()
+        apply_merges([edge], {1: donor, 2: recipient})
+        assert donor.tour == () and donor.occupants == 0
         assert recipient.tour == merged
-        assert recipient.scheduled == {1, 2}
+        assert pickups(recipient.tour) == {1, 2}
+        assert recipient.occupants == 2
         # the recipient now holds only this update's work; the donor none
         assert donor_eligible(recipient, 0, lookup)
         assert not donor_eligible(donor, 0, lookup)
-        assert r1.vehicle_id == 2
+        # who serves a rider is recorded at the pickup, not by the merge
+        assert r1.vehicle_id is None
         assert donor.location == 4  # donor stays where it was
 
 
@@ -198,8 +199,6 @@ class TestStep2Loop:
         vehicles = [fresh_assigned(v, 0, [reqs[v]],
                                    (pickup(v, 0), dropoff(v, 2)))
                     for v in range(4)]
-        for r in reqs:
-            r.vehicle_id = r.id
         lookup = by_id(reqs)
         index = {r.id: (0, 1, 2, 3) for r in reqs}
         stats = step2_loop(line_net, 0, vehicles, lookup, index)
@@ -207,8 +206,8 @@ class TestStep2Loop:
         assert stats.rounds <= 4  # bounded by initial assigned count
         holders = [v for v in vehicles if v.tour]
         assert len(holders) == 1
-        assert holders[0].scheduled == {0, 1, 2, 3}
-        assert {r.vehicle_id for r in reqs} == {holders[0].id}
+        assert pickups(holders[0].tour) == {0, 1, 2, 3}
+        assert holders[0].occupants == 4
 
     def test_no_edges_no_rounds(self, line_net):
         r1 = make_request(1, 0, 0, 2, 600, line_net)
