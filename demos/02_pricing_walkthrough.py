@@ -18,12 +18,11 @@ def fmt(tour):
 
 
 net = grid_network(6, 6)  # nodes 0..35 row-major, 40 s per link
-requests = {}
+fresh = set()  # ids of the riders committed in this update
 
 
 def announce(rid, origin, destination, flexibility_s=420):
     req = make_request(rid, 0, origin, destination, flexibility_s, net)
-    requests[rid] = req
     print(f"request {rid}: {origin} to {destination}, direct "
           f"{req.direct_time_s} s, pickup by t={req.q_r}, "
           f"dropoff by t={req.l_r}")
@@ -33,33 +32,33 @@ def announce(rid, origin, destination, flexibility_s=420):
 print("--- step 1: one vehicle absorbs two riders ---")
 cab = Vehicle(id=0, capacity=4, location=0)
 r1 = announce(1, origin=2, destination=4)
-plan = path_cost(net, 0, cab, r1, requests)
+plan = path_cost(net, 0, cab, r1)
 print(f"cab 0 takes rider 1 alone: cost {plan.cost} s, tour {fmt(plan.tour)}")
 
 # bookkeeping the engine does on commit
 cab.tour = plan.tour
-r1.assign_t = 0
+fresh.add(r1.id)
 
 r2 = announce(2, origin=3, destination=5)
-plan = path_cost(net, 0, cab, r2, requests)
+plan = path_cost(net, 0, cab, r2)
 print(f"cab 0 adds rider 2 en route: cost {plan.cost} s, "
       f"tour {fmt(plan.tour)}")
 cab.tour = plan.tour
-r2.assign_t = 0
+fresh.add(r2.id)
 
 print("\n--- step 2: an idle-but-assigned vehicle donates its work ---")
 donor = Vehicle(id=1, capacity=4, location=1)
 r3 = announce(3, origin=1, destination=5)
-plan = path_cost(net, 0, donor, r3, requests)
+plan = path_cost(net, 0, donor, r3)
 donor.tour = plan.tour
-r3.assign_t = 0
+fresh.add(r3.id)
 print(f"cab 1 was just assigned rider 3: tour {fmt(donor.tour)}")
 print(f"cab 1 may donate (nothing aboard, no older promises): "
-      f"{donor_eligible(donor, 0, requests)}")
+      f"{donor_eligible(donor, fresh)}")
 
 part1, part2 = split_tour(donor.tour)
 print(f"donor tour splits into [{fmt(part1)}] + [{fmt(part2)}]")
 
-merged = split_merge_cost(net, 0, donor, cab, requests)
+merged = split_merge_cost(net, 0, donor, cab)
 print(f"merge into cab 0: cost {merged.cost} s, tour {fmt(merged.tour)}")
 print("cab 0 now covers all three riders and cab 1 is free again")

@@ -48,17 +48,16 @@ def feasible_vehicles(net: RoadNetwork, request: Request,
     out = []
     to_origin = net.travel_times_to(request.origin)
     for v in vehicles:
-        if v.available_capacity < 1:
-            continue
+        # reach first: one dict read, and most vehicles fail it
         approach = to_origin.get(v.location)
-        if approach is not None and approach <= request.f_r:
+        if (approach is not None and approach <= request.f_r
+                and v.available_capacity >= 1):
             out.append(v)
     return out
 
 
 def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
-                    vehicles: Sequence[Vehicle],
-                    requests_by_id: Mapping[int, Request]) -> BipartiteGraph:
+                    vehicles: Sequence[Vehicle]) -> BipartiteGraph:
     """Price every candidate request/vehicle pair at update time ``t``.
 
     Requests are priced, and each request's candidate vehicles listed, in
@@ -72,7 +71,7 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
         candidates = feasible_vehicles(net, req, ordered_vehicles)
         feasible_sets[req.id] = tuple(v.id for v in candidates)
         for veh in candidates:
-            plan = path_cost(net, t, veh, req, requests_by_id)
+            plan = path_cost(net, t, veh, req)
             if plan.feasible:
                 edges.append(Edge(req.id, veh.id, plan.cost, plan.tour))
     return BipartiteGraph(

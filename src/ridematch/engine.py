@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .assignment import BipartiteGraph, build_bipartite, solve_assignment
 from .model import ASSIGNED, EXPIRED, PENDING, Request, Vehicle
@@ -53,7 +53,6 @@ def _begin_update(t: int, pending: Sequence[Request],
 
 def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
                       vehicles: Sequence[Vehicle],
-                      requests_by_id: Mapping[int, Request],
                       outcome: UpdateOutcome) -> BipartiteGraph:
     """Price, solve and commit one assignment round; return the priced
     graph.  A graph with an edge always yields at least one match.
@@ -62,7 +61,7 @@ def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
     earlier than ``t``, so the realized schedule equals the priced one.
     """
     t0 = time.perf_counter()
-    graph = build_bipartite(net, t, remaining, vehicles, requests_by_id)
+    graph = build_bipartite(net, t, remaining, vehicles)
     outcome.cost_calculation_s += time.perf_counter() - t0
     outcome.iterations += 1
     if not graph.edges:
@@ -71,9 +70,10 @@ def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
     matches = solve_assignment(graph)
     outcome.solution_s += time.perf_counter() - t0
     vehicles_by_id = {v.id: v for v in vehicles}
+    remaining_by_id = {r.id: r for r in remaining}
     for edge in matches:
         veh = vehicles_by_id[edge.vehicle_id]
-        req = requests_by_id[edge.request_id]
+        req = remaining_by_id[edge.request_id]
         veh.tour = edge.tour
         veh.ready_at = max(veh.ready_at, t)
         req.set_status(ASSIGNED)
@@ -83,8 +83,7 @@ def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
 
 
 def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
-                    vehicles: Sequence[Vehicle],
-                    requests_by_id: Mapping[int, Request]) -> UpdateOutcome:
+                    vehicles: Sequence[Vehicle]) -> UpdateOutcome:
     """Two-step matching at update time ``t``.
 
     Each pass assigns at most one new request per vehicle, then the merge
@@ -96,12 +95,12 @@ def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
     remaining = _begin_update(t, pending, outcome)
     feasible_index: dict[int, tuple[int, ...]] = {}
     while remaining:
-        graph = _assignment_round(net, t, remaining, vehicles,
-                                  requests_by_id, outcome)
+        graph = _assignment_round(net, t, remaining, vehicles, outcome)
         feasible_index.update(graph.feasible_sets)
         if not graph.edges:
             break
-        stats = step2_loop(net, t, vehicles, requests_by_id, feasible_index)
+        stats = step2_loop(net, t, vehicles, set(outcome.finalized),
+                           feasible_index)
         outcome.step2_rounds += stats.rounds
         outcome.step2_merges += stats.merges
         outcome.step2_calls.append((stats.rounds, stats.initial_assigned))
@@ -113,14 +112,12 @@ def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
 
 
 def baseline_update(net: RoadNetwork, t: int, pending: Sequence[Request],
-                    vehicles: Sequence[Vehicle],
-                    requests_by_id: Mapping[int, Request]) -> UpdateOutcome:
+                    vehicles: Sequence[Vehicle]) -> UpdateOutcome:
     """Single assignment round: one new request per vehicle per update."""
     outcome = UpdateOutcome()
     remaining = _begin_update(t, pending, outcome)
     if remaining:
-        _assignment_round(net, t, remaining, vehicles, requests_by_id,
-                          outcome)
+        _assignment_round(net, t, remaining, vehicles, outcome)
     outcome.deferred = [r.id for r in remaining if r.status == PENDING]
     return outcome
 

@@ -33,11 +33,14 @@ _TRANSITIONS = {
 
 
 class Stop(NamedTuple):
-    """One planned visit: pick up or drop off one request at a node."""
+    """One planned visit: pick up or drop off one request at a node by
+    ``deadline``, the request's ``q_r`` for a pickup and ``l_r`` for a
+    dropoff."""
 
     kind: int  # PICKUP or DROPOFF
     request_id: int
     node: int
+    deadline: int
 
 
 Tour = tuple[Stop, ...]
@@ -50,9 +53,9 @@ class Request:
     ``e_r`` is the earliest pickup time (equal to the announcement time
     ``t_r`` here), ``l_r`` the latest dropoff time, ``f_r`` the flexibility
     budget ``l_r - e_r - H(O, D)``, and ``q_r = e_r + f_r`` the latest
-    pickup time.  ``assign_t`` is the update that committed the request;
-    which vehicle will serve it is read from the tours until the pickup,
-    which sets ``vehicle_id`` to the vehicle that picked the rider up.
+    pickup time; its stops copy both.  ``assign_t``, the update that
+    committed the request, is only logged; the vehicle that will serve it
+    is read from the tours until the pickup sets ``vehicle_id``.
     """
 
     id: int
@@ -109,10 +112,9 @@ class Vehicle:
     The tour is the plan: it holds a dropoff for every request id in
     ``onboard`` (passengers in the vehicle) and a pickup/dropoff pair for
     every request assigned to the vehicle but not yet picked up.  Both
-    kinds count against capacity.  A request in the tour whose
-    ``assign_t`` is the current update time was assigned in this update.
-    ``ready_at`` is the earliest time the vehicle can leave ``location``;
-    between stops it is the arrival time at ``location``.
+    kinds count against capacity, and every stop carries its own
+    deadline.  ``ready_at`` is the earliest time the vehicle can leave
+    ``location``; between stops it is the arrival time at ``location``.
     """
 
     id: int

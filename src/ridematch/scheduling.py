@@ -1,8 +1,8 @@
 """Tour pricing: single-request insertion and two-vehicle merge plans.
 
 A plan is priced by driving the tour stop by stop from the vehicle's
-current position.  Every stop must respect the owning request's window
-(pickup by ``q_r``, dropoff by ``l_r``) and the running occupancy must
+current position.  Every stop must be reached by its deadline (``q_r``
+for a pickup, ``l_r`` for a dropoff) and the running occupancy must
 never exceed capacity.  The cost of a feasible plan is the time from the
 current update instant until the last stop is completed.
 
@@ -18,7 +18,7 @@ earlier plan, so the first optimum in enumeration order wins.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import DROPOFF, PICKUP, Request, Stop, Tour, Vehicle
 from .network import RoadNetwork
@@ -34,14 +34,13 @@ INFEASIBLE = PlanResult(False, None, None)
 
 
 def evaluate_tour(net: RoadNetwork, t: int, start_node: int, depart_t: int,
-                  tour: Tour, onboard_count: int, capacity: int,
-                  requests_by_id: Mapping[int, Request],
-                  ) -> tuple[int, tuple[int, ...]] | None:
-    """Price a tour against windows and capacity.
+                  tour: Tour, onboard_count: int,
+                  capacity: int) -> tuple[int, tuple[int, ...]] | None:
+    """Price a tour against its stops' deadlines and capacity.
 
     Returns ``(cost, arrivals)`` where cost is completion time minus ``t``,
-    or None when any window or the capacity bound is violated.  An empty
-    tour costs 0.
+    or None when any stop misses its deadline or the capacity bound is
+    violated.  An empty tour costs 0.
     """
     arrivals = []
     node, clock, load = start_node, depart_t, onboard_count
@@ -50,17 +49,9 @@ def evaluate_tour(net: RoadNetwork, t: int, start_node: int, depart_t: int,
         if leg is None:
             return None
         clock += leg
-        req = requests_by_id[stop.request_id]
-        if stop.kind == PICKUP:
-            if clock > req.q_r:
-                return None
-            load += 1
-            if load > capacity:
-                return None
-        else:
-            if clock > req.l_r:
-                return None
-            load -= 1
+        load += stop.kind  # PICKUP is +1, DROPOFF -1
+        if clock > stop.deadline or load > capacity:
+            return None
         arrivals.append(clock)
         node = stop.node
     if not tour:
@@ -72,8 +63,8 @@ def evaluate_tour(net: RoadNetwork, t: int, start_node: int, depart_t: int,
 EXHAUSTIVE_REQUEST_LIMIT = 2
 
 
-def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
-              requests_by_id: Mapping[int, Request]) -> PlanResult:
+def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle,
+              request: Request) -> PlanResult:
     """Best feasible tour serving the vehicle's plan plus one new request.
 
     Tours with at most two distinct requests are re-optimised over every
@@ -81,22 +72,21 @@ def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
     pickup.  Longer ones keep their stop order and take the cheapest
     insertion of the new pickup/dropoff pair, tried in ascending (pickup
     slot, dropoff slot) order.  Ties keep the first candidate.
-    ``requests_by_id`` must hold ``request`` and every request in the tour.
     """
     if vehicle.available_capacity < 1:
         return INFEASIBLE
-    stops = vehicle.tour + (Stop(PICKUP, request.id, request.origin),
-                            Stop(DROPOFF, request.id, request.destination))
+    stops = vehicle.tour + (
+        Stop(PICKUP, request.id, request.origin, request.q_r),
+        Stop(DROPOFF, request.id, request.destination, request.l_r))
     if len({s.request_id for s in vehicle.tour}) <= EXHAUSTIVE_REQUEST_LIMIT:
         pickup_at = {s.request_id: k for k, s in enumerate(stops)
                      if s.kind == PICKUP}
         after = [-1 if s.kind == PICKUP else pickup_at.get(s.request_id, -1)
                  for s in stops]
-        return _cheapest(net, t, vehicle, [(s,) for s in stops], after,
-                         requests_by_id)
+        return _cheapest(net, t, vehicle, [(s,) for s in stops], after)
     units, after = _chains([(s,) for s in stops[-2:]],
                            [(s,) for s in vehicle.tour])
-    return _cheapest(net, t, vehicle, units, after, requests_by_id)
+    return _cheapest(net, t, vehicle, units, after)
 
 
 def split_tour(tour: Tour) -> tuple[Tour, Tour]:
@@ -106,8 +96,7 @@ def split_tour(tour: Tour) -> tuple[Tour, Tour]:
 
 
 def split_merge_cost(net: RoadNetwork, t: int, donor: Vehicle,
-                     recipient: Vehicle,
-                     requests_by_id: Mapping[int, Request]) -> PlanResult:
+                     recipient: Vehicle) -> PlanResult:
     """Best feasible tour for the recipient after absorbing the donor's.
 
     The donor tour is split at its middle and both halves are inserted as
@@ -118,7 +107,7 @@ def split_merge_cost(net: RoadNetwork, t: int, donor: Vehicle,
     """
     blocks = [part for part in split_tour(donor.tour) if part]
     units, after = _chains(blocks, [(s,) for s in recipient.tour])
-    return _cheapest(net, t, recipient, units, after, requests_by_id)
+    return _cheapest(net, t, recipient, units, after)
 
 
 def _chains(*chains: Sequence[Tour]) -> tuple[list[Tour], list[int]]:
@@ -133,8 +122,7 @@ def _chains(*chains: Sequence[Tour]) -> tuple[list[Tour], list[int]]:
 
 
 def _cheapest(net: RoadNetwork, t: int, vehicle: Vehicle,
-              units: Sequence[Tour], after: Sequence[int],
-              requests_by_id: Mapping[int, Request]) -> PlanResult:
+              units: Sequence[Tour], after: Sequence[int]) -> PlanResult:
     """Cheapest feasible order of ``units`` from the vehicle's position;
     ``after[k]`` is the unit that must precede unit ``k``, or -1."""
     n = len(units)
@@ -142,9 +130,7 @@ def _cheapest(net: RoadNetwork, t: int, vehicle: Vehicle,
         return PlanResult(True, 0, ())
     # per stop: (travel times into its node, node, deadline, load change);
     # PICKUP is +1, DROPOFF -1
-    legs = [[(net.travel_times_to(s.node), s.node,
-              requests_by_id[s.request_id].q_r if s.kind == PICKUP
-              else requests_by_id[s.request_id].l_r, s.kind)
+    legs = [[(net.travel_times_to(s.node), s.node, s.deadline, s.kind)
              for s in unit] for unit in units]
     capacity = vehicle.capacity
     node, clock = vehicle.location, max(t, vehicle.ready_at)

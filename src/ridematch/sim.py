@@ -236,13 +236,14 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
     if kind == "poisson":
         for rec in config.demand["od_rates"]:
             lam = rec["rate_per_hour"] * scale * T / 3600.0
-            count = int(rng.poisson(lam)) if lam > 0 else 0
+            count = _poisson_count(rng, lam, f"od_rates rate_per_hour "
+                                   f"{rec['origin']}->{rec['destination']}")
             for _ in range(count):
                 events.append((int(rng.integers(0, max(T, 1))),
                                rec["origin"], rec["destination"]))
     elif kind == "uniform":
         lam = config.demand["requests_per_hour"] * scale * T / 3600.0
-        count = int(rng.poisson(lam)) if lam > 0 else 0
+        count = _poisson_count(rng, lam, "requests_per_hour")
         nodes = net.nodes
         for _ in range(count):
             t = int(rng.integers(0, max(T, 1)))
@@ -261,6 +262,15 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
         except ValueError as exc:  # uniform demand drew a pair with no route
             raise ConfigError(f"demand OD pair {o}->{d}: {exc}") from exc
     return out
+
+
+def _poisson_count(rng: np.random.Generator, lam: float, name: str) -> int:
+    """Draw the request count, mean ``lam``, of the demand field ``name``."""
+    try:
+        return int(rng.poisson(lam)) if lam > 0 else 0
+    except ValueError as exc:  # numpy refuses means above about 9.2e18
+        raise ConfigError(f"demand {name} is too large to draw "
+                          f"{lam:.3g} requests") from exc
 
 
 def load_requests(path: Path, config: ScenarioConfig,
@@ -396,8 +406,8 @@ class RunResult:
     update_records: list[dict]
 
 
-# hard stop against a stuck scenario; updates are Δ-spaced so this is hours
-# of simulated time for any sane config
+# the most updates one run may take; run_scenario rejects demand that needs
+# more up front, so reaching it means the scenario is stuck
 MAX_UPDATES = 1_000_000
 
 
@@ -407,18 +417,23 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     check_demand_reachability(config, net)
     rng = np.random.default_rng(config.seed)
     demand = generate_demand(config, net, rng)
+    delta = config.update_interval_s
+    # every request is dropped off by its l_r or expires at the first update
+    # after its q_r, so updates 0 .. max(l_r) // delta + 1 always suffice
+    needed = max((r.l_r for r in demand), default=0) // delta + 2
+    if needed > MAX_UPDATES:
+        raise ConfigError(f"demand needs {needed} updates of {delta} s, "
+                          f"more than the {MAX_UPDATES} a run may take")
     vehicles = initialize_fleet(config, demand, net, rng)
     state = SimulationState(net=net, vehicles=vehicles, requests=demand,
                             requests_by_id={r.id: r for r in demand})
     future = deque(demand)
     matcher = MATCHERS[config.matcher]
-    delta = config.update_interval_s
     for k in range(MAX_UPDATES):
         t = k * delta
         while future and future[0].t_r <= t:
             state.pending.append(future.popleft())
-        outcome: UpdateOutcome = matcher(net, t, state.pending, vehicles,
-                                         state.requests_by_id)
+        outcome: UpdateOutcome = matcher(net, t, state.pending, vehicles)
         state.update_records.append({
             "t": t,
             "finalized": len(outcome.finalized),

@@ -1,7 +1,7 @@
 """Second matching stage: merging freshly assigned tours across vehicles.
 
 After requests are assigned, a directed graph is formed over the vehicles
-that received work in the current update.  An eligible donor can hand its
+holding a request this update committed.  An eligible donor can hand its
 whole plan to a recipient when the recipient is reachable for at least one
 of the donor's requests, is at least as loaded as the donor, and has seats
 for everything being handed over.  A maximum-weight matching over this
@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import networkx as nx
 
-from .model import Request, Tour, Vehicle
+from .model import Tour, Vehicle
 from .network import RoadNetwork
 from .scheduling import split_merge_cost
 
@@ -45,9 +45,9 @@ class Step2Stats:
     solution_s: float = 0.0
 
 
-def donor_eligible(vehicle: Vehicle, t: int,
-                   requests_by_id: Mapping[int, Request]) -> bool:
-    """True when the vehicle's entire plan is assignments made at ``t``.
+def donor_eligible(vehicle: Vehicle, fresh: set[int]) -> bool:
+    """True when the vehicle's entire plan is requests in ``fresh``, the
+    ids this update committed.
 
     Such a vehicle was idle before the update, so handing its tour away
     strands nobody: no passengers are aboard and no stop in the tour
@@ -55,35 +55,32 @@ def donor_eligible(vehicle: Vehicle, t: int,
     """
     return (not vehicle.onboard
             and bool(vehicle.tour)
-            and all(requests_by_id[s.request_id].assign_t == t
-                    for s in vehicle.tour))
+            and all(s.request_id in fresh for s in vehicle.tour))
 
 
 def build_vehicle_graph(net: RoadNetwork, t: int,
-                        vehicles: Sequence[Vehicle],
-                        requests_by_id: Mapping[int, Request],
+                        vehicles: Sequence[Vehicle], fresh: set[int],
                         feasible_index: Mapping[int, tuple[int, ...]],
                         ) -> VehicleGraph:
     """Directed merge graph over vehicles assigned work this update.
 
-    A vehicle is a node when some request in its tour was assigned at
-    ``t``; nobody is picked up inside an update, so that request still
-    awaits its pickup.  ``feasible_index`` maps each request id to the
-    vehicles that passed the reachability filter when the request was
-    matched; a recipient must appear there for at least one of the donor's
-    requests.  An edge also needs the donor to be no more loaded than the
-    recipient, the recipient to have seats for all the donor's requests,
-    and a feasible merged tour.
+    A vehicle is a node when its tour holds a request in ``fresh``, the ids
+    this update committed; nobody is picked up inside an update, so that
+    request still awaits its pickup.  ``feasible_index`` maps each request
+    id to the vehicles that passed the reachability filter when the
+    request was matched; a recipient must appear there for at least one
+    of the donor's requests.  An edge also needs the donor to be no more
+    loaded than the recipient, the recipient to have seats for all the
+    donor's requests, and a feasible merged tour.
     """
     assigned = sorted((v for v in vehicles
                        if v.tour  # most vehicles: no generator built
-                       and any(requests_by_id[s.request_id].assign_t == t
-                               for s in v.tour)),
+                       and any(s.request_id in fresh for s in v.tour)),
                       key=lambda v: v.id)
     by_id = {v.id: v for v in assigned}
     edges: list[MergeEdge] = []
     for donor in assigned:
-        if not donor_eligible(donor, t, requests_by_id):
+        if not donor_eligible(donor, fresh):
             continue
         reachable: set[int] = set()
         for stop in donor.tour:
@@ -96,7 +93,7 @@ def build_vehicle_graph(net: RoadNetwork, t: int,
                 continue
             if donor.occupants > recipient.available_capacity:
                 continue
-            plan = split_merge_cost(net, t, donor, recipient, requests_by_id)
+            plan = split_merge_cost(net, t, donor, recipient)
             if plan.feasible:
                 edges.append(MergeEdge(donor.id, recipient.id, plan.cost,
                                        plan.tour))
@@ -145,9 +142,10 @@ def apply_merges(merges: Sequence[MergeEdge],
 
 
 def step2_loop(net: RoadNetwork, t: int, vehicles: Sequence[Vehicle],
-               requests_by_id: Mapping[int, Request],
+               fresh: set[int],
                feasible_index: Mapping[int, tuple[int, ...]]) -> Step2Stats:
-    """Repeat build/match/apply until no merge remains.
+    """Repeat build/match/apply until no merge remains; ``fresh`` holds
+    the ids of the requests this update committed.
 
     Every applied merge idles at least one donor, so the number of rounds
     is bounded by the number of vehicles assigned work at entry: the nodes
@@ -158,8 +156,7 @@ def step2_loop(net: RoadNetwork, t: int, vehicles: Sequence[Vehicle],
     vehicles_by_id = {v.id: v for v in vehicles}
     while True:
         t0 = time.perf_counter()
-        graph = build_vehicle_graph(net, t, vehicles, requests_by_id,
-                                    feasible_index)
+        graph = build_vehicle_graph(net, t, vehicles, fresh, feasible_index)
         stats.cost_calculation_s += time.perf_counter() - t0
         if not stats.rounds:
             stats.initial_assigned = len(graph.nodes)

@@ -54,12 +54,14 @@ def make_vehicle(vid, location, capacity=4, **kw):
     return Vehicle(id=vid, capacity=capacity, location=location, **kw)
 
 
-def pickup(rid, node):
-    return Stop(PICKUP, rid, node)
+def pickup(req):
+    """The pickup stop of ``req``, due by its ``q_r``."""
+    return Stop(PICKUP, req.id, req.origin, req.q_r)
 
 
-def dropoff(rid, node):
-    return Stop(DROPOFF, rid, node)
+def dropoff(req):
+    """The dropoff stop of ``req``, due by its ``l_r``."""
+    return Stop(DROPOFF, req.id, req.destination, req.l_r)
 
 
 def pickups(tour):

@@ -67,8 +67,9 @@ def vehicle_with_plan(rng: random.Random, net, n_requests, t=0, capacity=4,
             continue
         per_request = []
         for r in requests:
-            stops = [] if r.id in onboard_ids else [Stop(PICKUP, r.id, r.origin)]
-            stops.append(Stop(DROPOFF, r.id, r.destination))
+            stops = ([] if r.id in onboard_ids
+                     else [Stop(PICKUP, r.id, r.origin, r.q_r)])
+            stops.append(Stop(DROPOFF, r.id, r.destination, r.l_r))
             per_request.append(stops)
         tour = _random_valid_order(rng, per_request)
         location = rng.choice(net.nodes)
@@ -93,9 +94,6 @@ def donor_vehicle(rng: random.Random, net, n_requests, t=0, capacity=4,
                   vid=1, base_rid=500, max_tries=400):
     """A vehicle whose whole plan was assigned at ``t``: pairs only,
     nothing aboard."""
-    veh, requests = vehicle_with_plan(
+    return vehicle_with_plan(
         rng, net, n_requests, t=t, capacity=capacity, vid=vid,
         base_rid=base_rid, allow_onboard=False, max_tries=max_tries)
-    for r in requests:
-        r.assign_t = t
-    return veh, requests

@@ -18,13 +18,13 @@ import pytest
 
 from ridematch import sim
 from ridematch.assignment import BipartiteGraph, Edge, solve_assignment
-from ridematch.model import (ASSIGNED, ONBOARD, SERVED, Stop, PICKUP, DROPOFF,
-                             validate_tour)
+from ridematch.model import ASSIGNED, ONBOARD, PICKUP, SERVED, validate_tour
 from ridematch.scheduling import path_cost, split_merge_cost
 from ridematch.sim import commuter_config, example_config, run_scenario, \
     write_trip_log
 from ridematch.vehicle_graph import MergeEdge, VehicleGraph, select_merges
 
+from conftest import dropoff, pickup
 from instance_gen import donor_vehicle, random_request, vehicle_with_plan, \
     windows_of
 from oracles import (all_block_merges, all_orderings, all_pair_insertions,
@@ -196,18 +196,14 @@ def test_insertion_pricing_is_exact():
         veh, existing = vehicle_with_plan(rng, net, n, t=0, capacity=6,
                                           vid=0, max_tries=5000)
         new = random_request(rng, net, 9, t=0)
-        lookup = {r.id: r for r in existing + [new]}
-        plan = path_cost(net, 0, veh, new, lookup)
+        plan = path_cost(net, 0, veh, new)
         windows = windows_of(existing + [new])
         if n <= 2:
-            stops = list(veh.tour) + [Stop(PICKUP, 9, new.origin),
-                                      Stop(DROPOFF, 9, new.destination)]
+            stops = list(veh.tour) + [pickup(new), dropoff(new)]
             cands = all_orderings(stops, veh.onboard)
             small += 1
         else:
-            cands = all_pair_insertions(veh.tour,
-                                        Stop(PICKUP, 9, new.origin),
-                                        Stop(DROPOFF, 9, new.destination))
+            cands = all_pair_insertions(veh.tour, pickup(new), dropoff(new))
             long += 1
         oracle_cost, _ = best_plan(times, 0, veh.location,
                                    max(0, veh.ready_at), cands,
@@ -242,8 +238,7 @@ def test_split_merge_pricing_is_exact():
         recipient, r_reqs = vehicle_with_plan(rng, net, rng.randrange(1, 4),
                                               t=0, capacity=6, vid=2,
                                               base_rid=100, max_tries=5000)
-        lookup = {r.id: r for r in d_reqs + r_reqs}
-        plan = split_merge_cost(net, 0, donor, recipient, lookup)
+        plan = split_merge_cost(net, 0, donor, recipient)
         cut = (len(donor.tour) + 1) // 2
         cands = all_block_merges(recipient.tour, donor.tour[:cut],
                                  donor.tour[cut:])
@@ -413,6 +408,12 @@ def plan_bookkeeping_faults(state) -> list[str]:
             validate_tour(veh.tour, veh.onboard)
         except ValueError as exc:
             faults.append(f"v{veh.id}: {exc}")
+        for stop in veh.tour:
+            req = state.requests_by_id[stop.request_id]
+            due = req.q_r if stop.kind == PICKUP else req.l_r
+            if stop.deadline != due:
+                faults.append(f"v{veh.id}: r{req.id} stop due at "
+                              f"{stop.deadline}, not {due}")
         pickups.update(s.request_id for s in veh.tour if s.kind == PICKUP)
         aboard.update(veh.onboard)
         in_tours.update(s.request_id for s in veh.tour)
@@ -433,10 +434,11 @@ def plan_bookkeeping_faults(state) -> list[str]:
 
 def test_tours_are_the_whole_plan(monkeypatch, tmp_path):
     """Before every advance, on the spot configs, the file network and ten
-    batch seeds: every tour is well formed, every assigned rider has its
-    pickup in exactly one tour, every rider aboard is in exactly one
-    vehicle, which is its ``vehicle_id``, and no other rider is in a
-    tour.  The checked runs keep their pinned trip logs."""
+    batch seeds: every tour is well formed, every stop carries its
+    request's deadline, every assigned rider has its pickup in exactly one
+    tour, every rider aboard is in exactly one vehicle, which is its
+    ``vehicle_id``, and no other rider is in a tour.  The checked runs keep
+    their pinned trip logs."""
     advance = sim.advance
     faults: list[str] = []
     checks = 0

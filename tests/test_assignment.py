@@ -51,7 +51,8 @@ class TestFeasibleVehicles:
 
     def test_no_free_seat_excluded(self, line_net):
         req = make_request(1, 0, 2, 4, 600, line_net)
-        veh = make_vehicle(0, 2, capacity=1, tour=(dropoff(5, 3),))
+        r5 = make_request(5, 0, 2, 3, 600, line_net)  # aboard, for node 3
+        veh = make_vehicle(0, 2, capacity=1, tour=(dropoff(r5),))
         veh.onboard = {5}
         assert veh.available_capacity == 0
         assert feasible_vehicles(line_net, req, [veh]) == []
@@ -96,8 +97,7 @@ class TestBuildBipartite:
         r2 = make_request(2, 0, 4, 0, 60, line_net)   # only v1 close enough
         v0 = make_vehicle(0, 0)
         v1 = make_vehicle(1, 4)
-        lookup = {1: r1, 2: r2}
-        graph = build_bipartite(line_net, 0, [r2, r1], [v1, v0], lookup)
+        graph = build_bipartite(line_net, 0, [r2, r1], [v1, v0])
         assert graph.requests == (1, 2)
         assert graph.vehicles == (0, 1)
         assert graph.feasible_sets[1] == (0,)   # v1 is 180 s out, f is 120
@@ -111,7 +111,7 @@ class TestBuildBipartite:
         # an unordered fleet: every vehicle is within f of the origin
         req = make_request(1, 0, 2, 4, 120, line_net)
         fleet = [make_vehicle(2, 3), make_vehicle(0, 1), make_vehicle(1, 0)]
-        graph = build_bipartite(line_net, 0, [req], fleet, {1: req})
+        graph = build_bipartite(line_net, 0, [req], fleet)
         assert graph.vehicles == (0, 1, 2)
         assert graph.feasible_sets[1] == (0, 1, 2)
 
@@ -120,7 +120,7 @@ class TestBuildBipartite:
         r = make_request(1, 0, 1, 4, 60, line_net)
         r.l_r -= 200  # simulate an unserviceable deadline
         v = make_vehicle(0, 1)
-        graph = build_bipartite(line_net, 0, [r], [v], {1: r})
+        graph = build_bipartite(line_net, 0, [r], [v])
         assert graph.feasible_sets[1] == (0,)
         assert graph.edges == ()
 

@@ -1,12 +1,17 @@
 """The benchmark's tracer (``bench/tracer.py``) hooks program names from
 outside and reports a metric as missing, not as an error, when a name it
 hooks is gone.  These tests load the tracer without installing any hook
-and check that every name it needs still resolves."""
+and check that every name it needs still resolves, and pin the matcher
+calling convention that ``bench/worker.py`` relies on."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import ridematch
+from ridematch import engine
+from ridematch.model import PENDING, Request
 from ridematch.sim import example_config, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +51,29 @@ def test_update_records_expose_traced_fields():
     values = probe.metrics(result.update_records)
     assert not probe.missing
     assert values["engine.busy_updates"] > 0
+
+
+@pytest.mark.parametrize("matcher", sorted(engine.MATCHERS))
+def test_matchers_take_pending_third(monkeypatch, matcher):
+    """Every matcher call is ``(net, t, pending, vehicles)``, positional,
+    and ``args[2]`` is the pending list ``run_scenario`` hands over:
+    ``bench/worker.py`` counts busy updates by its truth value."""
+    calls = []
+    for name, fn in list(engine.MATCHERS.items()):
+        def spy(*args, _fn=fn, **kwargs):
+            pending = args[2]
+            calls.append((len(args), kwargs, len(pending),
+                          all(isinstance(r, Request) and r.status == PENDING
+                              for r in pending)))
+            return _fn(*args, **kwargs)
+        monkeypatch.setitem(engine.MATCHERS, name, spy)
+    result = run_scenario(example_config(loading_period_s=300, fleet_size=5,
+                                         matcher=matcher))
+    assert len(calls) == len(result.update_records)
+    assert all(n_args == 4 and not kwargs and all_pending
+               for n_args, kwargs, _, all_pending in calls)
+    # every request pending at entry is finalized, expired or deferred
+    assert [n for _, _, n, _ in calls] == [
+        u["finalized"] + u["expired"] + u["deferred"]
+        for u in result.update_records]
+    assert any(n for _, _, n, _ in calls)

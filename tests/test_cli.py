@@ -401,12 +401,19 @@ ONE_WAY_LINE = {"nodes": [{"id": n} for n in range(3)],
     ("validate", {"network": {"kind": "file", "path": "net.json"},
                   "demand": {"kind": "uniform", "requests_per_hour": 60}},
      {"net.json": ONE_WAY_LINE}),
+    ("run", {"demand": {"kind": "uniform", "requests_per_hour": 1e30}}, {}),
+    ("run", {"demand": {"kind": "poisson", "od_rates": [
+        {"origin": 0, "destination": 8, "rate_per_hour": 1e30}]}}, {}),
+    ("run", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [{"t_r": 10**12, "origin": 0,
+                                 "destination": 8}]}}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
         "origin-bool", "destination-float", "flexibility-float",
         "flexibility-bool", "flexibility-string", "uniform-no-route",
-        "uniform-not-strongly-connected"])
+        "uniform-not-strongly-connected", "uniform-rate-too-large",
+        "poisson-rate-too-large", "t_r-beyond-update-cap"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     monkeypatch.chdir(tmp_path)

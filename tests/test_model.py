@@ -4,6 +4,9 @@ from ridematch.model import (ASSIGNED, DROPOFF, EXPIRED, ONBOARD, PENDING,
                              PICKUP, SERVED, Stop, Vehicle, make_request,
                              validate_tour)
 
+# a deadline for stops in tests of tour structure, which ignores deadlines
+DUE = 600
+
 
 class TestWindows:
     def test_derived_deadlines(self, line_net):
@@ -76,15 +79,15 @@ class TestVehicle:
         assert veh.available_capacity == 4
         # riders 1 and 2 aboard, rider 3 still to be picked up
         veh.onboard = {1, 2}
-        veh.tour = (Stop(DROPOFF, 1, 2), Stop(PICKUP, 3, 1),
-                    Stop(DROPOFF, 2, 3), Stop(DROPOFF, 3, 4))
+        veh.tour = (Stop(DROPOFF, 1, 2, DUE), Stop(PICKUP, 3, 1, DUE),
+                    Stop(DROPOFF, 2, 3, DUE), Stop(DROPOFF, 3, 4, DUE))
         validate_tour(veh.tour, veh.onboard)
         assert veh.occupants == 3
         assert veh.available_capacity == 1
 
     def test_idle_tracks_tour(self):
         veh = Vehicle(id=0, capacity=4, location=0,
-                      tour=(Stop(DROPOFF, 1, 3),), onboard={1})
+                      tour=(Stop(DROPOFF, 1, 3, DUE),), onboard={1})
         assert veh.tour and veh.occupants == 1
         # the last dropoff empties the tour and frees every seat
         veh.tour, veh.onboard = (), set()
@@ -93,26 +96,28 @@ class TestVehicle:
 
 class TestValidateTour:
     def test_accepts_pair_and_onboard_dropoff(self):
-        tour = (Stop(DROPOFF, 9, 2), Stop(PICKUP, 1, 0), Stop(DROPOFF, 1, 3))
+        tour = (Stop(DROPOFF, 9, 2, DUE), Stop(PICKUP, 1, 0, DUE),
+                Stop(DROPOFF, 1, 3, DUE))
         validate_tour(tour, onboard={9})
 
     def test_rejects_dropoff_before_pickup(self):
-        tour = (Stop(DROPOFF, 1, 3), Stop(PICKUP, 1, 0))
+        tour = (Stop(DROPOFF, 1, 3, DUE), Stop(PICKUP, 1, 0, DUE))
         with pytest.raises(ValueError, match="before pickup"):
             validate_tour(tour, onboard=set())
 
     def test_rejects_double_pickup(self):
-        tour = (Stop(PICKUP, 1, 0), Stop(PICKUP, 1, 2), Stop(DROPOFF, 1, 3))
+        tour = (Stop(PICKUP, 1, 0, DUE), Stop(PICKUP, 1, 2, DUE),
+                Stop(DROPOFF, 1, 3, DUE))
         with pytest.raises(ValueError, match="twice"):
             validate_tour(tour, onboard=set())
 
     def test_rejects_pickup_of_onboard_rider(self):
-        tour = (Stop(PICKUP, 1, 0), Stop(DROPOFF, 1, 3))
+        tour = (Stop(PICKUP, 1, 0, DUE), Stop(DROPOFF, 1, 3, DUE))
         with pytest.raises(ValueError, match="twice"):
             validate_tour(tour, onboard={1})
 
     def test_rejects_missing_dropoff(self):
         with pytest.raises(ValueError, match="never dropped"):
-            validate_tour((Stop(PICKUP, 1, 0),), onboard=set())
+            validate_tour((Stop(PICKUP, 1, 0, DUE),), onboard=set())
         with pytest.raises(ValueError, match="without a dropoff"):
             validate_tour((), onboard={4})

@@ -13,10 +13,6 @@ from oracles import (all_block_merges, all_orderings, all_pair_insertions,
                      best_plan, plan_arrivals, precedence_valid, travel_times)
 
 
-def by_id(requests):
-    return {r.id: r for r in requests}
-
-
 def block_at(tour, block):
     """Index where ``block`` occurs contiguously in ``tour``, or -1."""
     for i in range(len(tour) - len(block) + 1):
@@ -48,49 +44,43 @@ def first_optimum_ties(plan, times, veh, candidates, windows):
 class TestEvaluateTour:
     def test_pickup_deadline_boundary(self, line_net):
         req = make_request(1, 0, 1, 3, 60, line_net)  # q_r = 60
-        tour = (pickup(1, 1), dropoff(1, 3))
+        tour = (pickup(req), dropoff(req))
         # depart node 0 at 0: pickup arrival exactly 60 -> allowed
-        assert evaluate_tour(line_net, 0, 0, 0, tour, 0, 4, by_id([req])) \
+        assert evaluate_tour(line_net, 0, 0, 0, tour, 0, 4) \
             == (180, (60, 180))
         # departing 1 s later misses q_r
-        assert evaluate_tour(line_net, 0, 0, 1, tour, 0, 4,
-                             by_id([req])) is None
+        assert evaluate_tour(line_net, 0, 0, 1, tour, 0, 4) is None
 
     def test_dropoff_deadline_boundary(self, line_net):
         req = make_request(1, 0, 0, 2, 30, line_net)  # l_r = 150
-        direct = (pickup(1, 0), dropoff(1, 2))
-        assert evaluate_tour(line_net, 0, 0, 30, direct, 0, 4,
-                             by_id([req])) == (150, (30, 150))
+        direct = (pickup(req), dropoff(req))
+        assert evaluate_tour(line_net, 0, 0, 30, direct, 0, 4) \
+            == (150, (30, 150))
         # a detour through node 4 blows l_r even though pickup is on time
-        detour = (pickup(1, 0), Stop(PICKUP, 2, 4), Stop(DROPOFF, 2, 4),
-                  dropoff(1, 2))
         other = make_request(2, 0, 4, 2, 600, line_net)
-        assert evaluate_tour(line_net, 0, 0, 0, detour, 0, 4,
-                             by_id([req, other])) is None
+        detour = (pickup(req), Stop(PICKUP, 2, 4, other.q_r),
+                  Stop(DROPOFF, 2, 4, other.l_r), dropoff(req))
+        assert evaluate_tour(line_net, 0, 0, 0, detour, 0, 4) is None
 
     def test_prefix_capacity_violation(self, line_net):
-        reqs = [make_request(i, 0, 0, 4, 600, line_net) for i in (1, 2)]
-        tour = (pickup(1, 0), pickup(2, 0), dropoff(1, 4), dropoff(2, 4))
-        assert evaluate_tour(line_net, 0, 0, 0, tour, 0, 2,
-                             by_id(reqs)) is not None
+        r1, r2 = [make_request(i, 0, 0, 4, 600, line_net) for i in (1, 2)]
+        tour = (pickup(r1), pickup(r2), dropoff(r1), dropoff(r2))
+        assert evaluate_tour(line_net, 0, 0, 0, tour, 0, 2) is not None
         # one seat: the second pickup overfills even though each ride fits
-        assert evaluate_tour(line_net, 0, 0, 0, tour, 0, 1,
-                             by_id(reqs)) is None
+        assert evaluate_tour(line_net, 0, 0, 0, tour, 0, 1) is None
         # onboard passengers count against the bound too
-        assert evaluate_tour(line_net, 0, 0, 0, tour, 1, 2,
-                             by_id(reqs)) is None
+        assert evaluate_tour(line_net, 0, 0, 0, tour, 1, 2) is None
 
     def test_cost_measured_from_update_time(self, line_net):
         req = make_request(1, 0, 1, 2, 600, line_net)
-        tour = (pickup(1, 1), dropoff(1, 2))
+        tour = (pickup(req), dropoff(req))
         # vehicle busy until 90: cost includes the wait before departure
-        cost, arrivals = evaluate_tour(line_net, 30, 0, 90, tour, 0, 4,
-                                       by_id([req]))
+        cost, arrivals = evaluate_tour(line_net, 30, 0, 90, tour, 0, 4)
         assert arrivals == (150, 210)
         assert cost == 180
 
     def test_empty_tour_costs_zero(self, line_net):
-        assert evaluate_tour(line_net, 40, 2, 40, (), 0, 4, {}) == (0, ())
+        assert evaluate_tour(line_net, 40, 2, 40, (), 0, 4) == (0, ())
 
 
 class TestCandidateGenerators:
@@ -103,13 +93,12 @@ class TestCandidateGenerators:
             veh, existing = vehicle_with_plan(rng, grid3, rng.randrange(3, 5),
                                               t=0, capacity=6, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
+            plan = path_cost(grid3, 0, veh, new)
             if not plan.feasible:
                 continue
             rest = tuple(s for s in plan.tour if s.request_id != 9)
             assert rest == veh.tour
-            assert plan.tour.index(Stop(PICKUP, 9, new.origin)) \
-                < plan.tour.index(Stop(DROPOFF, 9, new.destination))
+            assert plan.tour.index(pickup(new)) < plan.tour.index(dropoff(new))
             checked += 1
         assert checked >= 10
 
@@ -117,25 +106,26 @@ class TestCandidateGenerators:
         # onboard rider 7 is dropped at 4; rider 9 rides 0 -> 1 first
         r7 = make_request(7, 0, 0, 4, 600, line_net)
         r9 = make_request(9, 0, 0, 1, 300, line_net)
-        veh = make_vehicle(0, 0, tour=(dropoff(7, 4),))
+        veh = make_vehicle(0, 0, tour=(dropoff(r7),))
         veh.onboard = {7}
-        plan = path_cost(line_net, 0, veh, r9, by_id([r7, r9]))
-        assert plan.tour == (pickup(9, 0), dropoff(9, 1), dropoff(7, 4))
+        plan = path_cost(line_net, 0, veh, r9)
+        assert plan.tour == (pickup(r9), dropoff(r9), dropoff(r7))
         rng = random.Random(13)
         for trial in range(60):
             veh, existing = vehicle_with_plan(rng, grid3, rng.randrange(0, 3),
                                               t=0, capacity=4, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
+            plan = path_cost(grid3, 0, veh, new)
             if not plan.feasible:
                 continue
-            pair = (Stop(PICKUP, 9, new.origin),
-                    Stop(DROPOFF, 9, new.destination))
+            pair = (pickup(new), dropoff(new))
             assert sorted(plan.tour) == sorted(veh.tour + pair)
             assert precedence_valid(plan.tour, veh.onboard)
 
-    def test_split_points(self):
-        a, b, c, d = pickup(1, 0), dropoff(1, 1), pickup(2, 2), dropoff(2, 3)
+    def test_split_points(self, line_net):
+        r1 = make_request(1, 0, 0, 1, 60, line_net)
+        r2 = make_request(2, 0, 2, 3, 60, line_net)
+        a, b, c, d = pickup(r1), dropoff(r1), pickup(r2), dropoff(r2)
         assert split_tour(()) == ((), ())
         assert split_tour((a, b)) == ((a,), (b,))
         assert split_tour((a, b, c)) == ((a, b), (c,))
@@ -150,8 +140,7 @@ class TestCandidateGenerators:
             recipient, r_reqs = vehicle_with_plan(
                 rng, grid3, rng.randrange(1, 4), t=0, capacity=6, vid=2,
                 base_rid=100)
-            plan = split_merge_cost(grid3, 0, donor, recipient,
-                                    by_id(d_reqs + r_reqs))
+            plan = split_merge_cost(grid3, 0, donor, recipient)
             if not plan.feasible:
                 continue
             part1, part2 = split_tour(donor.tour)
@@ -169,32 +158,31 @@ class TestPathCost:
     def test_idle_vehicle_direct_ride(self, line_net):
         req = make_request(1, 0, 1, 3, 300, line_net)
         veh = make_vehicle(0, 0)
-        plan = path_cost(line_net, 0, veh, req, by_id([req]))
+        plan = path_cost(line_net, 0, veh, req)
         assert plan.feasible
         assert plan.cost == 60 + 120  # approach + ride
-        assert plan.tour == (pickup(1, 1), dropoff(1, 3))
+        assert plan.tour == (pickup(req), dropoff(req))
 
     def test_full_vehicle_infeasible(self, line_net):
         req = make_request(1, 0, 1, 3, 300, line_net)
         veh = make_vehicle(0, 0, capacity=2)
+        r7 = make_request(7, 0, 0, 3, 600, line_net)
+        r8 = make_request(8, 0, 0, 3, 600, line_net)
         veh.onboard = {7, 8}
-        veh.tour = (dropoff(7, 3), dropoff(8, 3))
-        other = [make_request(7, 0, 0, 3, 600, line_net),
-                 make_request(8, 0, 0, 3, 600, line_net)]
-        assert not path_cost(line_net, 0, veh, req,
-                             by_id(other + [req])).feasible
+        veh.tour = (dropoff(r7), dropoff(r8))
+        assert not path_cost(line_net, 0, veh, req).feasible
 
     def test_expired_window_infeasible(self, line_net):
         req = make_request(1, 0, 4, 0, 30, line_net)  # q_r = 30
         veh = make_vehicle(0, 0)  # 240 s away
-        assert not path_cost(line_net, 100, veh, req, by_id([req])).feasible
+        assert not path_cost(line_net, 100, veh, req).feasible
 
     def test_shared_ride_reorders_short_tours(self, line_net):
         # vehicle en route for rider 7 (1 -> 3); co-located rider 9 joins
         r7 = make_request(7, 0, 1, 3, 300, line_net)
         r9 = make_request(9, 0, 1, 3, 300, line_net)
-        veh = make_vehicle(0, 0, tour=(pickup(7, 1), dropoff(7, 3)))
-        plan = path_cost(line_net, 0, veh, r9, by_id([r7, r9]))
+        veh = make_vehicle(0, 0, tour=(pickup(r7), dropoff(r7)))
+        plan = path_cost(line_net, 0, veh, r9)
         assert plan.feasible
         assert plan.cost == 180  # both picked at 1, dropped at 3
         kinds = [(s.kind, s.node) for s in plan.tour]
@@ -208,9 +196,8 @@ class TestPathCost:
             veh, existing = vehicle_with_plan(rng, grid3, n, t=0,
                                               capacity=4, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
-            stops = list(veh.tour) + [Stop(PICKUP, 9, new.origin),
-                                      Stop(DROPOFF, 9, new.destination)]
+            plan = path_cost(grid3, 0, veh, new)
+            stops = list(veh.tour) + [pickup(new), dropoff(new)]
             windows = windows_of(existing + [new])
             oracle_cost, _ = best_plan(
                 times, 0, veh.location, max(0, veh.ready_at),
@@ -230,10 +217,9 @@ class TestPathCost:
             veh, existing = vehicle_with_plan(rng, grid3, n, t=0,
                                               capacity=6, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
-            cands = all_pair_insertions(veh.tour,
-                                        Stop(PICKUP, 9, new.origin),
-                                        Stop(DROPOFF, 9, new.destination))
+            plan = path_cost(grid3, 0, veh, new)
+            cands = all_pair_insertions(veh.tour, pickup(new),
+                                        dropoff(new))
             windows = windows_of(existing + [new])
             oracle_cost, _ = best_plan(
                 times, 0, veh.location, max(0, veh.ready_at), cands,
@@ -255,10 +241,9 @@ class TestPathCost:
             veh, existing = vehicle_with_plan(rng, grid3, 3, t=0,
                                               capacity=6, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
-            cands = all_pair_insertions(veh.tour,
-                                        Stop(PICKUP, 9, new.origin),
-                                        Stop(DROPOFF, 9, new.destination))
+            plan = path_cost(grid3, 0, veh, new)
+            cands = all_pair_insertions(veh.tour, pickup(new),
+                                        dropoff(new))
             ties += first_optimum_ties(plan, times, veh, cands,
                                        windows_of(existing + [new])) > 1
         assert ties >= 10
@@ -271,9 +256,8 @@ class TestPathCost:
             veh, existing = vehicle_with_plan(rng, grid3, rng.randrange(0, 3),
                                               t=0, capacity=4, vid=0)
             new = random_request(rng, grid3, 9, t=0)
-            plan = path_cost(grid3, 0, veh, new, by_id(existing + [new]))
-            stops = list(veh.tour) + [Stop(PICKUP, 9, new.origin),
-                                      Stop(DROPOFF, 9, new.destination)]
+            plan = path_cost(grid3, 0, veh, new)
+            stops = list(veh.tour) + [pickup(new), dropoff(new)]
             ties += first_optimum_ties(plan, times, veh,
                                        all_orderings(stops, veh.onboard),
                                        windows_of(existing + [new])) > 1
@@ -285,10 +269,9 @@ class TestSplitMergeCost:
         # donor at 4 with r1 (0 -> 2); recipient at 0 with r2 (0 -> 2)
         r1 = make_request(1, 0, 0, 2, 600, line_net)
         r2 = make_request(2, 0, 0, 2, 600, line_net)
-        donor = make_vehicle(1, 4, tour=(pickup(1, 0), dropoff(1, 2)))
-        recipient = make_vehicle(2, 0, tour=(pickup(2, 0), dropoff(2, 2)))
-        plan = split_merge_cost(line_net, 0, donor, recipient,
-                                by_id([r1, r2]))
+        donor = make_vehicle(1, 4, tour=(pickup(r1), dropoff(r1)))
+        recipient = make_vehicle(2, 0, tour=(pickup(r2), dropoff(r2)))
+        plan = split_merge_cost(line_net, 0, donor, recipient)
         assert plan.feasible
         assert plan.cost == 120  # both riders travel together
         assert len(plan.tour) == 4
@@ -303,8 +286,7 @@ class TestSplitMergeCost:
             recipient, r_reqs = vehicle_with_plan(
                 rng, grid3, rng.randrange(1, 4), t=0, capacity=6, vid=2,
                 base_rid=100)
-            lookup = by_id(d_reqs + r_reqs)
-            plan = split_merge_cost(grid3, 0, donor, recipient, lookup)
+            plan = split_merge_cost(grid3, 0, donor, recipient)
             cut = (len(donor.tour) + 1) // 2
             cands = all_block_merges(recipient.tour, donor.tour[:cut],
                                      donor.tour[cut:])
@@ -334,22 +316,23 @@ class TestSplitMergeCost:
             recipient, r_reqs = vehicle_with_plan(
                 rng, grid3, rng.randrange(1, 4), t=0, capacity=6, vid=2,
                 base_rid=100)
-            plan = split_merge_cost(grid3, 0, donor, recipient,
-                                    by_id(d_reqs + r_reqs))
+            plan = split_merge_cost(grid3, 0, donor, recipient)
             cands = all_block_merges(recipient.tour, *split_tour(donor.tour))
             ties += first_optimum_ties(plan, times, recipient, cands,
                                        windows_of(d_reqs + r_reqs)) > 1
         assert ties >= 10
 
     def test_infeasible_when_recipient_lacks_seats(self, line_net):
-        reqs = [make_request(i, 0, 0, 2, 600, line_net) for i in (1, 2, 3)]
+        reqs = [make_request(1, 0, 0, 2, 600, line_net),
+                make_request(2, 0, 0, 2, 600, line_net),
+                make_request(3, 0, 2, 4, 600, line_net)]
+        r1, r2, r3 = reqs
         donor = make_vehicle(1, 0, capacity=4,
-                             tour=(pickup(1, 0), dropoff(1, 2)))
+                             tour=(pickup(r1), dropoff(r1)))
         recipient = make_vehicle(2, 0, capacity=1,
-                                 tour=(pickup(2, 0), dropoff(2, 2),
-                                       pickup(3, 2), dropoff(3, 4)))
-        reqs[2] = make_request(3, 0, 2, 4, 600, line_net)
-        plan = split_merge_cost(line_net, 0, donor, recipient, by_id(reqs))
+                                 tour=(pickup(r2), dropoff(r2),
+                                       pickup(r3), dropoff(r3)))
+        plan = split_merge_cost(line_net, 0, donor, recipient)
         # capacity 1 can still chain riders one at a time, but never two
         # aboard; a merge is only infeasible if windows or seats forbid it
         if plan.feasible:
@@ -377,30 +360,30 @@ def test_pricing_returns_first_optimum(grid3, skew3, seed, merge, n,
         veh, existing = vehicle_with_plan(rng, net, 1 + n % 3, t=0,
                                           capacity=capacity, vid=2,
                                           base_rid=100, max_tries=2000)
-        lookup = by_id(d_reqs + existing)
-        plan = split_merge_cost(net, 0, donor, veh, lookup)
+        windows = windows_of(d_reqs + existing)
+        plan = split_merge_cost(net, 0, donor, veh)
         cands = all_block_merges(veh.tour, *split_tour(donor.tour))
     else:
         veh, existing = vehicle_with_plan(rng, net, n, t=0,
                                           capacity=capacity, vid=0,
                                           max_tries=2000)
         new = random_request(rng, net, 9, t=0)
-        lookup = by_id(existing + [new])
-        plan = path_cost(net, 0, veh, new, lookup)
+        windows = windows_of(existing + [new])
+        plan = path_cost(net, 0, veh, new)
         if veh.available_capacity < 1:  # every seat already promised
             assert not plan.feasible
             return
-        pair = (Stop(PICKUP, 9, new.origin), Stop(DROPOFF, 9, new.destination))
+        pair = (pickup(new), dropoff(new))
         cands = (all_orderings(list(veh.tour + pair), veh.onboard) if n <= 2
                  else all_pair_insertions(veh.tour, *pair))
     depart = max(0, veh.ready_at)
     oracle_cost, oracle_tour = best_plan(
         times, 0, veh.location, depart, cands, len(veh.onboard),
-        veh.capacity, {rid: (r.q_r, r.l_r) for rid, r in lookup.items()})
+        veh.capacity, windows)
     if oracle_cost is None:
         assert plan == (False, None, None)
         return
     assert plan.feasible and plan.tour == oracle_tour
     repriced = evaluate_tour(net, 0, veh.location, depart, plan.tour,
-                             len(veh.onboard), veh.capacity, lookup)
+                             len(veh.onboard), veh.capacity)
     assert repriced is not None and repriced[0] == plan.cost == oracle_cost

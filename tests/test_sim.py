@@ -229,7 +229,7 @@ class TestAdvance:
     def test_hand_replay_single_trip(self, line_net):
         req = make_request(1, 0, 1, 2, 300, line_net)
         req.status = "assigned"
-        veh = make_vehicle(0, 0, tour=(pickup(1, 1), dropoff(1, 2)))
+        veh = make_vehicle(0, 0, tour=(pickup(req), dropoff(req)))
         state = self.state(line_net, [veh], [req])
         advance(state, 120)
         assert req.status == SERVED
@@ -257,7 +257,7 @@ class TestAdvance:
     def test_midlink_position_is_next_node(self, line_net):
         req = make_request(1, 0, 3, 4, 300, line_net)
         req.status = "assigned"
-        veh = make_vehicle(0, 0, tour=(pickup(1, 3), dropoff(1, 4)))
+        veh = make_vehicle(0, 0, tour=(pickup(req), dropoff(req)))
         state = self.state(line_net, [veh], [req])
         advance(state, 90)  # 90 s into a 60 s/link trip toward node 3
         assert veh.location == 2     # already committed to the 1->2 hop
@@ -269,7 +269,7 @@ class TestAdvance:
         for start, goal in [(0, 35), (35, 0), (5, 30), (14, 21), (7, 7)]:
             req = make_request(1, 0, start, goal, 3600, grid6)
             req.status = "onboard"
-            veh = make_vehicle(0, start, tour=(dropoff(1, goal),),
+            veh = make_vehicle(0, start, tour=(dropoff(req),),
                                onboard={1})
             state = self.state(grid6, [veh], [req])
             visited = [start]
@@ -284,7 +284,7 @@ class TestAdvance:
                                       Link(1, 2, 100.0, 10)])
         req = make_request(1, 0, 1, 2, 300, net)
         req.status = "assigned"
-        veh = make_vehicle(0, 2, tour=(pickup(1, 1), dropoff(1, 2)))
+        veh = make_vehicle(0, 2, tour=(pickup(req), dropoff(req)))
         state = self.state(net, [veh], [req])
         with pytest.raises(RuntimeError, match="unreachable stop"):
             advance(state, 60)
@@ -299,7 +299,7 @@ class TestAdvance:
         req = make_request(1, 0, 4, 0, 30, line_net)  # pickup due by 30
         req.status = "assigned"
         # 240 s from the pickup node
-        veh = make_vehicle(0, 0, tour=(pickup(1, 4), dropoff(1, 0)))
+        veh = make_vehicle(0, 0, tour=(pickup(req), dropoff(req)))
         state = self.state(line_net, [veh], [req])
         with pytest.raises(RuntimeError, match="after its deadline"):
             advance(state, 600)

@@ -8,89 +8,69 @@ from conftest import dropoff, make_request, make_vehicle, pickup, pickups
 from oracles import best_matching_weight
 
 
-def by_id(requests):
-    return {r.id: r for r in requests}
-
-
-def fresh_assigned(vid, node, requests, tour, t=0, capacity=4):
-    """A vehicle with ``tour``, its riders ``requests`` assigned at ``t``."""
-    for r in requests:
-        r.assign_t = t
-    return make_vehicle(vid, node, capacity=capacity, tour=tour)
-
-
 class TestDonorEligibility:
     def test_fresh_idle_vehicle_is_donor(self, line_net):
         r5 = make_request(5, 0, 0, 2, 600, line_net)
-        veh = fresh_assigned(1, 0, [r5], (pickup(5, 0), dropoff(5, 2)))
-        assert donor_eligible(veh, 0, by_id([r5]))
+        veh = make_vehicle(1, 0, tour=(pickup(r5), dropoff(r5)))
+        assert donor_eligible(veh, {5})
 
     def test_onboard_passenger_blocks(self, line_net):
         r5 = make_request(5, 0, 0, 2, 600, line_net)
         r9 = make_request(9, 0, 0, 3, 600, line_net)  # aboard, for node 3
-        veh = fresh_assigned(1, 0, [r5], (pickup(5, 0), dropoff(5, 2),
-                                          dropoff(9, 3)))
-        veh.onboard = {9}
-        assert not donor_eligible(veh, 0, by_id([r5, r9]))
+        veh = make_vehicle(1, 0, tour=(pickup(r5), dropoff(r5), dropoff(r9)),
+                           onboard={9})
+        assert not donor_eligible(veh, {5})
 
     def test_prior_commitments_block(self, line_net):
-        # rider 7, awaiting pickup, was assigned an update before rider 5
+        # rider 7, awaiting pickup, was committed an update before rider 5
         r5 = make_request(5, 30, 0, 2, 600, line_net)
         r7 = make_request(7, 0, 1, 3, 600, line_net)
-        r7.assign_t = 0
-        veh = fresh_assigned(1, 0, [r5], (pickup(7, 1), dropoff(7, 3),
-                                          pickup(5, 0), dropoff(5, 2)), t=30)
-        assert not donor_eligible(veh, 30, by_id([r5, r7]))
+        veh = make_vehicle(1, 0, tour=(pickup(r7), dropoff(r7),
+                                       pickup(r5), dropoff(r5)))
+        assert not donor_eligible(veh, {5})
 
     def test_nothing_assigned_blocks(self):
         veh = make_vehicle(1, 0)
-        assert not donor_eligible(veh, 0, {})
+        assert not donor_eligible(veh, set())
 
 
 class TestBuildVehicleGraph:
-    def setup_pair(self, net, flex=600, t=0):
+    def setup_pair(self, net, flex=600):
         r1 = make_request(1, 0, 0, 2, flex, net)
         r2 = make_request(2, 0, 0, 2, flex, net)
-        donor = fresh_assigned(1, 4, [r1], (pickup(1, 0), dropoff(1, 2)), t)
-        recipient = fresh_assigned(2, 0, [r2], (pickup(2, 0), dropoff(2, 2)),
-                                   t)
+        donor = make_vehicle(1, 4, tour=(pickup(r1), dropoff(r1)))
+        recipient = make_vehicle(2, 0, tour=(pickup(r2), dropoff(r2)))
         return r1, r2, donor, recipient
 
     def test_edge_requires_connectivity(self, line_net):
         r1, r2, donor, recipient = self.setup_pair(line_net)
-        lookup = by_id([r1, r2])
-        withit = build_vehicle_graph(line_net, 0, [donor, recipient], lookup,
+        withit = build_vehicle_graph(line_net, 0, [donor, recipient], {1, 2},
                                      {1: (1, 2), 2: (2,)})
         assert [(e.donor_id, e.recipient_id) for e in withit.edges] == [(1, 2)]
         # recipient absent from r1's filter set: no edge from donor 1
-        without = build_vehicle_graph(line_net, 0, [donor, recipient], lookup,
+        without = build_vehicle_graph(line_net, 0, [donor, recipient], {1, 2},
                                       {1: (1,), 2: (2,)})
         assert [(e.donor_id, e.recipient_id) for e in without.edges] == []
 
     def test_nodes_are_assigned_vehicles_only(self, line_net):
-        r1, r2, donor, recipient = self.setup_pair(line_net, t=30)
+        r1, r2, donor, recipient = self.setup_pair(line_net)
         bystander = make_vehicle(3, 2)
-        # busy with a request assigned at an earlier update
+        # busy with a request committed at an earlier update
         r4 = make_request(4, 0, 1, 3, 600, line_net)
-        earlier = fresh_assigned(4, 1, [r4], (pickup(4, 1), dropoff(4, 3)))
+        earlier = make_vehicle(4, 1, tour=(pickup(r4), dropoff(r4)))
         graph = build_vehicle_graph(line_net, 30,
                                     [donor, recipient, bystander, earlier],
-                                    by_id([r1, r2, r4]),
-                                    {1: (1, 2), 2: (2,), 4: (4,)})
+                                    {1, 2}, {1: (1, 2), 2: (2,), 4: (4,)})
         assert graph.nodes == (1, 2)
 
     def test_busier_vehicle_cannot_donate_to_emptier(self, line_net):
         r1, r2, donor, recipient = self.setup_pair(line_net)
-        donor.onboard = set()
-        recipient.onboard = set()
         # donor now awaits two riders vs recipient's one
         r3 = make_request(3, 0, 0, 2, 600, line_net)
-        r3.assign_t = 0
-        donor.tour = (pickup(1, 0), dropoff(1, 2), pickup(3, 0),
-                      dropoff(3, 2))
+        donor.tour = (pickup(r1), dropoff(r1), pickup(r3), dropoff(r3))
         assert donor.occupants == 2 > recipient.occupants
         graph = build_vehicle_graph(line_net, 0, [donor, recipient],
-                                    by_id([r1, r2, r3]),
+                                    {1, 2, 3},
                                     {1: (1, 2), 2: (2,), 3: (1, 2)})
         assert all(e.donor_id != 1 for e in graph.edges)
 
@@ -98,7 +78,7 @@ class TestBuildVehicleGraph:
         r1, r2, donor, recipient = self.setup_pair(line_net)
         recipient.capacity = 1  # one seat, already promised to r2
         graph = build_vehicle_graph(line_net, 0, [donor, recipient],
-                                    by_id([r1, r2]), {1: (1, 2), 2: (2,)})
+                                    {1, 2}, {1: (1, 2), 2: (2,)})
         assert graph.edges == ()
 
     def test_window_infeasibility_blocks_edge(self, line_net):
@@ -106,8 +86,9 @@ class TestBuildVehicleGraph:
         # recipient sits at 0 but r1 must be dropped by l_r = 180;
         # serving both riders through node 2 is still fine, so tighten more
         r1.l_r = 60
+        donor.tour = (pickup(r1), dropoff(r1))  # the stop copies l_r
         graph = build_vehicle_graph(line_net, 0, [donor, recipient],
-                                    by_id([r1, r2]), {1: (1, 2), 2: (2,)})
+                                    {1, 2}, {1: (1, 2), 2: (2,)})
         assert graph.edges == ()
 
 
@@ -173,19 +154,18 @@ class TestApplyMerges:
     def test_plan_moves_and_donor_clears(self, line_net):
         r1 = make_request(1, 0, 0, 2, 600, line_net)
         r2 = make_request(2, 0, 0, 2, 600, line_net)
-        donor = fresh_assigned(1, 4, [r1], (pickup(1, 0), dropoff(1, 2)))
-        recipient = fresh_assigned(2, 0, [r2], (pickup(2, 0), dropoff(2, 2)))
-        merged = (pickup(2, 0), pickup(1, 0), dropoff(2, 2), dropoff(1, 2))
+        donor = make_vehicle(1, 4, tour=(pickup(r1), dropoff(r1)))
+        recipient = make_vehicle(2, 0, tour=(pickup(r2), dropoff(r2)))
+        merged = (pickup(r2), pickup(r1), dropoff(r2), dropoff(r1))
         edge = MergeEdge(1, 2, 120, merged)
-        lookup = by_id([r1, r2])
         apply_merges([edge], {1: donor, 2: recipient})
         assert donor.tour == () and donor.occupants == 0
         assert recipient.tour == merged
         assert pickups(recipient.tour) == {1, 2}
         assert recipient.occupants == 2
         # the recipient now holds only this update's work; the donor none
-        assert donor_eligible(recipient, 0, lookup)
-        assert not donor_eligible(donor, 0, lookup)
+        assert donor_eligible(recipient, {1, 2})
+        assert not donor_eligible(donor, {1, 2})
         # who serves a rider is recorded at the pickup, not by the merge
         assert r1.vehicle_id is None
         assert donor.location == 4  # donor stays where it was
@@ -196,12 +176,11 @@ class TestStep2Loop:
         # four identical fresh assignments at node 0 collapse onto one
         # vehicle over successive rounds
         reqs = [make_request(i, 0, 0, 2, 600, line_net) for i in range(4)]
-        vehicles = [fresh_assigned(v, 0, [reqs[v]],
-                                   (pickup(v, 0), dropoff(v, 2)))
+        vehicles = [make_vehicle(v, 0, tour=(pickup(reqs[v]),
+                                             dropoff(reqs[v])))
                     for v in range(4)]
-        lookup = by_id(reqs)
         index = {r.id: (0, 1, 2, 3) for r in reqs}
-        stats = step2_loop(line_net, 0, vehicles, lookup, index)
+        stats = step2_loop(line_net, 0, vehicles, {0, 1, 2, 3}, index)
         assert stats.merges == 3
         assert stats.rounds <= 4  # bounded by initial assigned count
         holders = [v for v in vehicles if v.tour]
@@ -211,7 +190,7 @@ class TestStep2Loop:
 
     def test_no_edges_no_rounds(self, line_net):
         r1 = make_request(1, 0, 0, 2, 600, line_net)
-        veh = fresh_assigned(1, 0, [r1], (pickup(1, 0), dropoff(1, 2)))
-        stats = step2_loop(line_net, 0, [veh], by_id([r1]), {1: (1,)})
+        veh = make_vehicle(1, 0, tour=(pickup(r1), dropoff(r1)))
+        stats = step2_loop(line_net, 0, [veh], {1}, {1: (1,)})
         assert stats.rounds == 0 and stats.merges == 0
         assert veh.tour
