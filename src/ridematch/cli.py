@@ -21,8 +21,8 @@ from .metrics import (MetricsReport, compute_metrics, format_summary,
                       metrics_header, metrics_row)
 from .network import NetworkFormatError, read_json
 from .sim import (ConfigError, ScenarioConfig, build_network,
-                  check_demand_reachability, check_number, run_scenario,
-                  write_trip_log)
+                  check_demand_bounds, check_demand_reachability,
+                  check_number, run_scenario, write_trip_log)
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -103,6 +103,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     net = build_network(config)
     check_demand_reachability(config, net)
+    check_demand_bounds(config, net)
     print(f"{args.config}: ok "
           f"({len(net.nodes)} nodes, {len(net.links)} links, "
           f"matcher={config.matcher})")

@@ -5,16 +5,23 @@ length in meters and a travel time in whole seconds.  Travel times are
 static for the lifetime of a network object.  Every query ends at a
 target, so the only routing state is one distance row per target, the
 travel times into it from every node, kept once computed; paths are
-walked hop by hop from their target's row and never stored.
+walked hop by hop from their target's row and never stored.  A row is
+one ``scipy.sparse.csgraph.dijkstra`` run from the target over a CSR
+matrix of the reversed links.  It computes in float64, so the network
+rejects link times that sum to 2**53 or more: below that every path
+length is an exact integer.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from pathlib import Path
 from typing import Iterable, NamedTuple
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 
 class NetworkFormatError(ValueError):
@@ -37,8 +44,11 @@ class RoadNetwork:
 
     Read-only after construction: queries may run concurrently, mutation is
     not supported.  The routing state is ``_dist_to`` only: one distance
-    row into each target queried so far.  The next hop towards ``dst`` is
-    the smallest-id neighbour ``n`` with
+    row into each target queried so far, computed by scipy's compiled
+    Dijkstra over ``_reverse``, the reversed links as a CSR matrix whose
+    row ``i`` holds the in-links of ``nodes[i]``.  The total link time is
+    below 2**53, so the float64 distances are exact integers.  The next
+    hop towards ``dst`` is the smallest-id neighbour ``n`` with
     ``link time + dist_to[dst][n] == dist_to[dst][here]``, so identical
     queries always return identical paths.
     """
@@ -46,12 +56,12 @@ class RoadNetwork:
     def __init__(self, nodes: Iterable[int], links: Iterable[Link]):
         self.nodes: tuple[int, ...] = tuple(sorted(set(nodes)))
         self.links: tuple[Link, ...] = tuple(links)
-        node_set = set(self.nodes)
+        self._pos: dict[int, int] = {n: i for i, n in enumerate(self.nodes)}
         self._out: dict[int, list[Link]] = {n: [] for n in self.nodes}
-        self._in: dict[int, list[Link]] = {n: [] for n in self.nodes}
         self._link_by_pair: dict[tuple[int, int], Link] = {}
+        total_time = 0
         for link in self.links:
-            if link.src not in node_set or link.dst not in node_set:
+            if link.src not in self._pos or link.dst not in self._pos:
                 raise NetworkFormatError(
                     f"link {link.src}->{link.dst} references an unknown node")
             if link.src == link.dst:
@@ -67,37 +77,48 @@ class RoadNetwork:
                     f"duplicate link {link.src}->{link.dst}")
             self._link_by_pair[(link.src, link.dst)] = link
             self._out[link.src].append(link)
-            self._in[link.dst].append(link)
+            total_time += link.travel_time_s
+        if total_time >= 2**53:
+            raise NetworkFormatError(
+                "link travel times sum to 2**53 s or more: path lengths "
+                "would not be exact")
         for n in self.nodes:
             self._out[n].sort(key=lambda l: l.dst)
-            self._in[n].sort(key=lambda l: l.src)
+        self._reverse = self._reverse_csr()
         # lazy distance rows, keyed by target
         self._dist_to: dict[int, dict[int, int]] = {}
 
+    def _reverse_csr(self) -> csr_matrix:
+        """The links as a CSR matrix over node positions whose row ``i``
+        holds the in-links of ``nodes[i]``: source positions and times."""
+        n, pos, links = len(self.nodes), self._pos, self.links
+        dst = np.fromiter((pos[l.dst] for l in links), np.int32, len(links))
+        src = np.fromiter((pos[l.src] for l in links), np.int32, len(links))
+        time = np.fromiter((l.travel_time_s for l in links), np.float64,
+                           len(links))
+        order = np.argsort(dst, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+        return csr_matrix((time[order], src[order], indptr), shape=(n, n))
+
     def __contains__(self, node: int) -> bool:
-        return node in self._out
+        return node in self._pos
 
     def link(self, src: int, dst: int) -> Link:
         return self._link_by_pair[(src, dst)]
 
     def _require(self, node: int) -> None:
-        if node not in self._out:
+        if node not in self._pos:
             raise KeyError(f"unknown node id {node}")
 
     def _dijkstra(self, target: int) -> dict[int, int]:
-        into = self._in
-        dist = {target: 0}
-        heap = [(0, target)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for link in into[node]:
-                src = link.src
-                nd = d + link.travel_time_s
-                if src not in dist or nd < dist[src]:
-                    dist[src] = nd
-                    heapq.heappush(heap, (nd, src))
+        row = dijkstra(self._reverse, indices=self._pos[target])
+        unreached = np.flatnonzero(np.isinf(row)).tolist()
+        row[unreached] = 0
+        # keys are the network's own node ints, shared by every row
+        dist = dict(zip(self.nodes, row.astype(np.int64).tolist()))
+        for i in unreached:
+            del dist[self.nodes[i]]
         return dist
 
     def _distances_to(self, target: int) -> dict[int, int]:

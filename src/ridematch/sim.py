@@ -231,19 +231,16 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
     """
     kind = config.demand["kind"]
     T = config.loading_period_s
-    scale = config.demand.get("scale", 1.0)
     events: list[tuple[int, int, int]] = []
     if kind == "poisson":
-        for rec in config.demand["od_rates"]:
-            lam = rec["rate_per_hour"] * scale * T / 3600.0
-            count = _poisson_count(rng, lam, f"od_rates rate_per_hour "
-                                   f"{rec['origin']}->{rec['destination']}")
-            for _ in range(count):
+        for rec, (lam, name) in zip(config.demand["od_rates"],
+                                    _poisson_means(config)):
+            for _ in range(_poisson_count(rng, lam, name)):
                 events.append((int(rng.integers(0, max(T, 1))),
                                rec["origin"], rec["destination"]))
     elif kind == "uniform":
-        lam = config.demand["requests_per_hour"] * scale * T / 3600.0
-        count = _poisson_count(rng, lam, "requests_per_hour")
+        [(lam, name)] = _poisson_means(config)
+        count = _poisson_count(rng, lam, name)
         nodes = net.nodes
         for _ in range(count):
             t = int(rng.integers(0, max(T, 1)))
@@ -262,6 +259,19 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
         except ValueError as exc:  # uniform demand drew a pair with no route
             raise ConfigError(f"demand OD pair {o}->{d}: {exc}") from exc
     return out
+
+
+def _poisson_means(config: ScenarioConfig) -> list[tuple[float, str]]:
+    """The mean request count of each Poisson process of random demand,
+    with the name of the demand field it comes from."""
+    T = config.loading_period_s
+    scale = config.demand.get("scale", 1.0)
+    if config.demand["kind"] == "uniform":
+        return [(config.demand["requests_per_hour"] * scale * T / 3600.0,
+                 "requests_per_hour")]
+    return [(rec["rate_per_hour"] * scale * T / 3600.0,
+             f"od_rates rate_per_hour {rec['origin']}->{rec['destination']}")
+            for rec in config.demand["od_rates"]]
 
 
 def _poisson_count(rng: np.random.Generator, lam: float, name: str) -> int:
@@ -411,12 +421,23 @@ class RunResult:
 MAX_UPDATES = 1_000_000
 
 
-def run_scenario(config: ScenarioConfig) -> RunResult:
-    """Simulate one scenario to quiescence and collect the trip log."""
-    net = build_network(config)
-    check_demand_reachability(config, net)
-    rng = np.random.default_rng(config.seed)
-    demand = generate_demand(config, net, rng)
+def check_demand_bounds(config: ScenarioConfig, net: RoadNetwork,
+                        demand: Sequence[Request] | None = None) -> None:
+    """Reject demand that ``run_scenario`` cannot simulate.
+
+    Each Poisson mean must be one numpy can draw, and the requests must
+    fit in ``MAX_UPDATES`` updates.  ``run_scenario`` passes the requests
+    it drew, whose means the draw has checked.  Without ``demand`` a file
+    is read and each mean is drawn once from a throwaway generator, so a
+    huge but drawable rate builds no requests.
+    """
+    if demand is None:
+        if config.demand["kind"] != "file":
+            probe = np.random.default_rng(0)
+            for lam, name in _poisson_means(config):
+                _poisson_count(probe, lam, name)
+            return
+        demand = load_requests(Path(config.demand["path"]), config, net)
     delta = config.update_interval_s
     # every request is dropped off by its l_r or expires at the first update
     # after its q_r, so updates 0 .. max(l_r) // delta + 1 always suffice
@@ -424,6 +445,16 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     if needed > MAX_UPDATES:
         raise ConfigError(f"demand needs {needed} updates of {delta} s, "
                           f"more than the {MAX_UPDATES} a run may take")
+
+
+def run_scenario(config: ScenarioConfig) -> RunResult:
+    """Simulate one scenario to quiescence and collect the trip log."""
+    net = build_network(config)
+    check_demand_reachability(config, net)
+    rng = np.random.default_rng(config.seed)
+    demand = generate_demand(config, net, rng)
+    check_demand_bounds(config, net, demand)
+    delta = config.update_interval_s
     vehicles = initialize_fleet(config, demand, net, rng)
     state = SimulationState(net=net, vehicles=vehicles, requests=demand,
                             requests_by_id={r.id: r for r in demand})

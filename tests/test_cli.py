@@ -362,6 +362,14 @@ ONE_WAY_LINE = {"nodes": [{"id": n} for n in range(3)],
                            "travel_time_s": 40} for n in range(2)]}
 
 
+def slow_pair(there, back):
+    """0 <-> 1 at 40 s, 1 -> 2 at ``there`` s and 2 -> 1 at ``back`` s."""
+    times = [(0, 1, 40), (1, 0, 40), (1, 2, there), (2, 1, back)]
+    return {"nodes": [{"id": n} for n in range(3)],
+            "links": [{"from": a, "to": b, "length_m": 400.0,
+                       "travel_time_s": t} for a, b, t in times]}
+
+
 @pytest.mark.parametrize("command,overrides,files", [
     ("validate", {"demand": {"kind": "poisson", "od_rates": [
         {"origin": 0, "destination": 8, "rate_per_hour": "240"}]}}, {}),
@@ -407,13 +415,36 @@ ONE_WAY_LINE = {"nodes": [{"id": n} for n in range(3)],
     ("run", {"demand": {"kind": "file", "path": "req.json"}},
      {"req.json": {"requests": [{"t_r": 10**12, "origin": 0,
                                  "destination": 8}]}}),
+    ("validate", {"demand": {"kind": "uniform", "requests_per_hour": 1e30}},
+     {}),
+    ("validate", {"demand": {"kind": "poisson", "od_rates": [
+        {"origin": 0, "destination": 8, "rate_per_hour": 1e30}]}}, {}),
+    ("validate", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [{"t_r": 10**12, "origin": 0,
+                                 "destination": 8}]}}),
+    ("validate", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [{"t_r": "5", "origin": 0,
+                                 "destination": 8}]}}),
+    ("run", {"network": {"kind": "file", "path": "net.json"},
+             "demand": {"kind": "poisson", "od_rates": [
+                 {"origin": 0, "destination": 1, "rate_per_hour": 60}]}},
+     {"net.json": slow_pair(2**53 + 1, 40)}),
+    ("validate", {"network": {"kind": "file", "path": "net.json"}},
+     {"net.json": slow_pair(2**52, 2**52)}),
+    ("validate", {"network": {"kind": "file", "path": "net.json"}},
+     {"net.json": slow_pair(10**400, 40)}),
+    ("validate", {"network": dict(GRID, link_travel_time_s=2**50)}, {}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
         "origin-bool", "destination-float", "flexibility-float",
         "flexibility-bool", "flexibility-string", "uniform-no-route",
         "uniform-not-strongly-connected", "uniform-rate-too-large",
-        "poisson-rate-too-large", "t_r-beyond-update-cap"])
+        "poisson-rate-too-large", "t_r-beyond-update-cap",
+        "validate-uniform-rate-too-large", "validate-poisson-rate-too-large",
+        "validate-t_r-beyond-update-cap", "validate-t_r-string",
+        "link-time-not-exact", "link-times-sum-not-exact",
+        "link-time-overflows-float", "grid-link-times-sum-not-exact"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     monkeypatch.chdir(tmp_path)

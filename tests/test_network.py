@@ -44,27 +44,42 @@ class TestRouting:
         assert net.shortest_path(0, 3) == (0, 1, 3)
 
     def test_matches_bellman_ford_on_random_graphs(self):
+        # shuffled sparse ids; the first node has no in-link and the last
+        # no out-link, so some rows must leave nodes out
         rng = random.Random(7)
         for trial in range(30):
             n = rng.randrange(2, 13)
-            links = []
-            for a in range(n):
-                for b in range(n):
-                    if a != b and rng.random() < 0.3:
-                        links.append(Link(a, b, 100.0, rng.randrange(1, 10)))
-            net = RoadNetwork(range(n), links)
+            ids = rng.sample(range(1000), n)
+            no_in, no_out = ids[0], ids[-1]
+            links = [Link(a, b, 100.0, rng.randrange(1, 10))
+                     for a in ids for b in ids
+                     if a != b and a != no_out and b != no_in
+                     and rng.random() < 0.3]
+            net = RoadNetwork(ids, links)
             raw = [(l.src, l.dst, l.travel_time_s) for l in links]
-            expect = {src: bellman_ford(range(n), raw, src)
-                      for src in range(n)}
-            for src in range(n):
+            expect = {src: bellman_ford(ids, raw, src) for src in ids}
+            for src in ids:
                 assert net.reachable_from(src) == set(expect[src])
-                for dst in range(n):
+                for dst in ids:
                     assert net.shortest_travel_time(src, dst) \
                         == expect[src].get(dst)
-            for dst in range(n):
-                assert net.travel_times_to(dst) == {
-                    src: expect[src][dst] for src in range(n)
-                    if dst in expect[src]}
+            for dst in ids:
+                row = net.travel_times_to(dst)
+                # unreachable nodes are absent keys, distances plain ints
+                assert row == {src: expect[src][dst] for src in ids
+                               if dst in expect[src]}
+                assert all(type(k) is int and type(v) is int
+                           for k, v in row.items())
+                assert (no_out in row) == (dst == no_out)
+            assert net.travel_times_to(no_in) == {no_in: 0}
+
+    def test_large_grid_rows_are_manhattan(self):
+        net = grid_network(40, 40)
+        for target in (0, 39, 821, 1599):
+            tr, tc = divmod(target, 40)
+            assert net.travel_times_to(target) == {
+                r * 40 + c: 40 * (abs(r - tr) + abs(c - tc))
+                for r in range(40) for c in range(40)}
 
     def test_paths_are_connected_and_optimal(self):
         rng = random.Random(11)
@@ -130,6 +145,16 @@ class TestConstruction:
     def test_rejects_dangling_endpoint(self):
         with pytest.raises(NetworkFormatError, match="unknown node"):
             RoadNetwork([0, 1], [Link(0, 2, 10.0, 5)])
+
+    def test_rejects_total_time_beyond_exact_floats(self):
+        # float64 distances stay exact only while every sum is below 2**53
+        net = RoadNetwork([0, 1, 2], [Link(0, 1, 10.0, 2**52),
+                                      Link(1, 2, 10.0, 2**52 - 1)])
+        assert net.shortest_travel_time(0, 2) == 2**53 - 1
+        for times in ([2**52, 2**52], [2**53 + 1, 1], [10**400, 1]):
+            with pytest.raises(NetworkFormatError, match="2\\*\\*53"):
+                RoadNetwork([0, 1, 2], [Link(0, 1, 10.0, times[0]),
+                                        Link(1, 2, 10.0, times[1])])
 
     def test_rejects_bad_length(self):
         with pytest.raises(NetworkFormatError, match="length"):
