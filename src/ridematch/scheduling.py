@@ -9,16 +9,29 @@ current update instant until the last stop is completed.
 Every plan shape is one depth-first search over units (single stops or
 donor half-tour blocks) that places the lowest-index placeable unit
 first, carrying the clock and load, so whole tours come in a fixed
-enumeration order.  A branch is cut at its first missed window, overfull
-vehicle or unreachable leg, and once its clock reaches the best
-completion so far: legs are never negative and a tie never replaces the
-earlier plan, so the first optimum in enumeration order wins.
+enumeration order.  The search reads each stop as a leg: the travel
+times into its node, the node, its deadline and its load change.
+``build_bipartite`` builds a vehicle's tour legs once per round and
+hands them to every ``path_cost`` call for that vehicle, which then
+builds only the new request's two legs.
+
+Legs are shortest paths, so no tour reaches a stop sooner than straight
+from where the vehicle is.  That gives two exact cuts.  Before any leg is
+built, ``path_cost`` gives up when the vehicle cannot reach the new
+pickup by ``q_r`` even straight from its departure, at ``max(t,
+ready_at)``.  Inside the search, a branch is cut at its first missed
+window, overfull vehicle or unreachable leg, and after each placement
+when some unplaced stop cannot be reached straight from the current node
+by its deadline, or only at or after the best completion so far.
+Completion is never earlier than any stop's arrival and a tie never
+replaces the earlier plan, so the cuts drop only plans that cannot win
+and the first optimum in enumeration order still wins.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import DROPOFF, PICKUP, Request, Stop, Tour, Vehicle
 from .network import RoadNetwork
@@ -59,34 +72,59 @@ def evaluate_tour(net: RoadNetwork, t: int, start_node: int, depart_t: int,
     return clock - t, tuple(arrivals)
 
 
+# the search's view of one stop: (travel times into its node, node,
+# deadline, load change); PICKUP is +1, DROPOFF -1
+Leg = tuple[Mapping[int, int], int, int, int]
+
+
+def tour_legs(net: RoadNetwork, stops: Sequence[Stop]) -> list[Leg]:
+    """The pricing search's leg for each of ``stops``, in order."""
+    return [(net.travel_times_to(s.node), s.node, s.deadline, s.kind)
+            for s in stops]
+
+
 # tours with at most this many distinct requests are priced exhaustively
 EXHAUSTIVE_REQUEST_LIMIT = 2
 
 
-def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle,
-              request: Request) -> PlanResult:
+def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
+              legs: Sequence[Leg] | None = None) -> PlanResult:
     """Best feasible tour serving the vehicle's plan plus one new request.
 
     Tours with at most two distinct requests are re-optimised over every
     order of their stops and the new pair, each dropoff after its own
     pickup.  Longer ones keep their stop order and take the cheapest
     insertion of the new pickup/dropoff pair, tried in ascending (pickup
-    slot, dropoff slot) order.  Ties keep the first candidate.
+    slot, dropoff slot) order.  Ties keep the first candidate.  ``legs``
+    are ``tour_legs(net, vehicle.tour)`` when the caller has them
+    already; the result is the same without them.
     """
     if vehicle.available_capacity < 1:
         return INFEASIBLE
-    stops = vehicle.tour + (
-        Stop(PICKUP, request.id, request.origin, request.q_r),
-        Stop(DROPOFF, request.id, request.destination, request.l_r))
-    if len({s.request_id for s in vehicle.tour}) <= EXHAUSTIVE_REQUEST_LIMIT:
+    # no tour reaches the pickup sooner than straight from the departure
+    to_origin = net.travel_times_to(request.origin)
+    approach = to_origin.get(vehicle.location)
+    if approach is None or max(t, vehicle.ready_at) + approach > request.q_r:
+        return INFEASIBLE
+    if legs is None:
+        legs = tour_legs(net, vehicle.tour)
+    pair = (Stop(PICKUP, request.id, request.origin, request.q_r),
+            Stop(DROPOFF, request.id, request.destination, request.l_r))
+    pair_legs = [(to_origin, request.origin, request.q_r, PICKUP),
+                 (net.travel_times_to(request.destination),
+                  request.destination, request.l_r, DROPOFF)]
+    # every rider has a stop in the tour, so this counts its requests
+    if vehicle.occupants <= EXHAUSTIVE_REQUEST_LIMIT:
+        stops = vehicle.tour + pair
         pickup_at = {s.request_id: k for k, s in enumerate(stops)
                      if s.kind == PICKUP}
         after = [-1 if s.kind == PICKUP else pickup_at.get(s.request_id, -1)
                  for s in stops]
-        return _cheapest(net, t, vehicle, [(s,) for s in stops], after)
-    units, after = _chains([(s,) for s in stops[-2:]],
-                           [(s,) for s in vehicle.tour])
-    return _cheapest(net, t, vehicle, units, after)
+        return _cheapest(t, vehicle, [(s,) for s in stops],
+                         [(leg,) for leg in [*legs, *pair_legs]], after)
+    return _cheapest(t, vehicle, [(s,) for s in pair + vehicle.tour],
+                     [(leg,) for leg in [*pair_legs, *legs]],
+                     _chained(2, len(vehicle.tour)))
 
 
 def split_tour(tour: Tour) -> tuple[Tour, Tour]:
@@ -106,32 +144,31 @@ def split_merge_cost(net: RoadNetwork, t: int, donor: Vehicle,
     from the recipient's position.  Ties keep the first candidate.
     """
     blocks = [part for part in split_tour(donor.tour) if part]
-    units, after = _chains(blocks, [(s,) for s in recipient.tour])
-    return _cheapest(net, t, recipient, units, after)
+    units = blocks + [(s,) for s in recipient.tour]
+    return _cheapest(t, recipient, units,
+                     [tour_legs(net, unit) for unit in units],
+                     _chained(len(blocks), len(recipient.tour)))
 
 
-def _chains(*chains: Sequence[Tour]) -> tuple[list[Tour], list[int]]:
-    """Concatenate unit chains; each unit must follow its predecessor."""
-    units: list[Tour] = []
+def _chained(*lengths: int) -> list[int]:
+    """``after`` for units laid out as chains of these lengths, each unit
+    following its predecessor in its chain."""
     after: list[int] = []
-    for chain in chains:
-        for i, unit in enumerate(chain):
-            after.append(len(units) - 1 if i else -1)
-            units.append(unit)
-    return units, after
+    for length in lengths:
+        base = len(after)
+        after.extend(base + i - 1 if i else -1 for i in range(length))
+    return after
 
 
-def _cheapest(net: RoadNetwork, t: int, vehicle: Vehicle,
-              units: Sequence[Tour], after: Sequence[int]) -> PlanResult:
+def _cheapest(t: int, vehicle: Vehicle, units: Sequence[Tour],
+              legs: Sequence[Sequence[Leg]],
+              after: Sequence[int]) -> PlanResult:
     """Cheapest feasible order of ``units`` from the vehicle's position;
-    ``after[k]`` is the unit that must precede unit ``k``, or -1."""
+    ``legs[k]`` are unit ``k``'s legs and ``after[k]`` the unit that must
+    precede it, or -1."""
     n = len(units)
     if n == 0:
         return PlanResult(True, 0, ())
-    # per stop: (travel times into its node, node, deadline, load change);
-    # PICKUP is +1, DROPOFF -1
-    legs = [[(net.travel_times_to(s.node), s.node, s.deadline, s.kind)
-             for s in unit] for unit in units]
     capacity = vehicle.capacity
     node, clock = vehicle.location, max(t, vehicle.ready_at)
     load = len(vehicle.onboard)
@@ -162,10 +199,11 @@ def _cheapest(net: RoadNetwork, t: int, vehicle: Vehicle,
             order.append(k)
             saved.append((node, clock, load))
             node, clock, load = at, c, ld
-            if len(order) < n:
+            if len(order) == n:
+                limit, best = clock, list(order)
+            elif not _hopeless(legs, placed, node, clock, limit):
                 k = 0
                 continue
-            limit, best = clock, list(order)
         if not order:
             break
         k = order.pop()  # take the last unit back, try the ones after it
@@ -176,3 +214,16 @@ def _cheapest(net: RoadNetwork, t: int, vehicle: Vehicle,
         return INFEASIBLE
     return PlanResult(True, limit - t,
                       tuple(s for k in best for s in units[k]))
+
+
+def _hopeless(legs: Sequence[Sequence[Leg]], placed: Sequence[bool],
+              node: int, clock: int, limit: float) -> bool:
+    """Whether some unplaced stop, even straight from ``node`` at
+    ``clock``, misses its deadline or arrives no earlier than ``limit``."""
+    for k, unit in enumerate(legs):
+        if not placed[k]:
+            for row, _, deadline, _ in unit:
+                a = row.get(node)
+                if a is None or clock + a > deadline or clock + a >= limit:
+                    return True
+    return False

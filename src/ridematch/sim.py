@@ -230,27 +230,27 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
     Requests come back sorted by announcement time with sequential ids.
     """
     kind = config.demand["kind"]
+    if kind == "file":
+        return load_requests(Path(config.demand["path"]), config, net)
+    check_demand_bounds(config, net)  # before a single request is drawn
     T = config.loading_period_s
     events: list[tuple[int, int, int]] = []
     if kind == "poisson":
-        for rec, (lam, name) in zip(config.demand["od_rates"],
-                                    _poisson_means(config)):
-            for _ in range(_poisson_count(rng, lam, name)):
+        for rec, lam in zip(config.demand["od_rates"],
+                            _poisson_means(config)):
+            for _ in range(_poisson_count(rng, lam)):
                 events.append((int(rng.integers(0, max(T, 1))),
                                rec["origin"], rec["destination"]))
-    elif kind == "uniform":
-        [(lam, name)] = _poisson_means(config)
-        count = _poisson_count(rng, lam, name)
+    else:
+        [lam] = _poisson_means(config)
         nodes = net.nodes
-        for _ in range(count):
+        for _ in range(_poisson_count(rng, lam)):
             t = int(rng.integers(0, max(T, 1)))
             o = int(nodes[rng.integers(0, len(nodes))])
             d = int(nodes[rng.integers(0, len(nodes))])
             while d == o:
                 d = int(nodes[rng.integers(0, len(nodes))])
             events.append((t, o, d))
-    else:
-        return load_requests(Path(config.demand["path"]), config, net)
     events.sort()
     out = []
     for rid, (t, o, d) in enumerate(events):
@@ -261,26 +261,19 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
     return out
 
 
-def _poisson_means(config: ScenarioConfig) -> list[tuple[float, str]]:
-    """The mean request count of each Poisson process of random demand,
-    with the name of the demand field it comes from."""
+def _poisson_means(config: ScenarioConfig) -> list[float]:
+    """The mean request count of each Poisson process of random demand."""
     T = config.loading_period_s
     scale = config.demand.get("scale", 1.0)
     if config.demand["kind"] == "uniform":
-        return [(config.demand["requests_per_hour"] * scale * T / 3600.0,
-                 "requests_per_hour")]
-    return [(rec["rate_per_hour"] * scale * T / 3600.0,
-             f"od_rates rate_per_hour {rec['origin']}->{rec['destination']}")
+        return [config.demand["requests_per_hour"] * scale * T / 3600.0]
+    return [rec["rate_per_hour"] * scale * T / 3600.0
             for rec in config.demand["od_rates"]]
 
 
-def _poisson_count(rng: np.random.Generator, lam: float, name: str) -> int:
-    """Draw the request count, mean ``lam``, of the demand field ``name``."""
-    try:
-        return int(rng.poisson(lam)) if lam > 0 else 0
-    except ValueError as exc:  # numpy refuses means above about 9.2e18
-        raise ConfigError(f"demand {name} is too large to draw "
-                          f"{lam:.3g} requests") from exc
+def _poisson_count(rng: np.random.Generator, lam: float) -> int:
+    """Draw a request count of mean ``lam``; a zero mean draws nothing."""
+    return int(rng.poisson(lam)) if lam > 0 else 0
 
 
 def load_requests(path: Path, config: ScenarioConfig,
@@ -419,29 +412,43 @@ class RunResult:
 # the most updates one run may take; run_scenario rejects demand that needs
 # more up front, so reaching it means the scenario is stuck
 MAX_UPDATES = 1_000_000
+# the largest mean request count random demand may have, so that a draw
+# cannot build more requests than memory holds
+MAX_REQUESTS = 1_000_000
 
 
 def check_demand_bounds(config: ScenarioConfig, net: RoadNetwork,
                         demand: Sequence[Request] | None = None) -> None:
     """Reject demand that ``run_scenario`` cannot simulate.
 
-    Each Poisson mean must be one numpy can draw, and the requests must
-    fit in ``MAX_UPDATES`` updates.  ``run_scenario`` passes the requests
-    it drew, whose means the draw has checked.  Without ``demand`` a file
-    is read and each mean is drawn once from a throwaway generator, so a
-    huge but drawable rate builds no requests.
+    Random demand is bounded by its config alone, so the verdict never
+    depends on the draw: its Poisson means may sum to at most
+    ``MAX_REQUESTS``, and when the sum is positive a request may arrive
+    until the loading period ends and ride until ``flexibility_s`` after
+    that, which must fit in ``MAX_UPDATES`` updates.  ``generate_demand``
+    checks this before it draws.  The requests, read from the file when
+    ``demand`` is not given, must fit in ``MAX_UPDATES`` updates too.
     """
-    if demand is None:
-        if config.demand["kind"] != "file":
-            probe = np.random.default_rng(0)
-            for lam, name in _poisson_means(config):
-                _poisson_count(probe, lam, name)
-            return
-        demand = load_requests(Path(config.demand["path"]), config, net)
     delta = config.update_interval_s
+    if config.demand["kind"] != "file":
+        total = sum(_poisson_means(config))
+        if not total <= MAX_REQUESTS:  # also an overflowed inf or nan
+            raise ConfigError(f"demand averages {total:.3g} requests, more "
+                              f"than the {MAX_REQUESTS} a run may hold")
+        if total > 0:
+            _check_updates((config.loading_period_s + config.flexibility_s)
+                           // delta + 2, delta)
+        if demand is None:
+            return
+    elif demand is None:
+        demand = load_requests(Path(config.demand["path"]), config, net)
     # every request is dropped off by its l_r or expires at the first update
     # after its q_r, so updates 0 .. max(l_r) // delta + 1 always suffice
-    needed = max((r.l_r for r in demand), default=0) // delta + 2
+    _check_updates(max((r.l_r for r in demand), default=0) // delta + 2,
+                   delta)
+
+
+def _check_updates(needed: int, delta: int) -> None:
     if needed > MAX_UPDATES:
         raise ConfigError(f"demand needs {needed} updates of {delta} s, "
                           f"more than the {MAX_UPDATES} a run may take")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ridematch import cli
+from ridematch import cli, sim
 from ridematch.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -362,6 +362,12 @@ ONE_WAY_LINE = {"nodes": [{"id": n} for n in range(3)],
                            "travel_time_s": 40} for n in range(2)]}
 
 
+# about five requests spread over a loading period of 3.3e10 updates
+SPARSE_LONG_PERIOD = {"demand": {"kind": "uniform",
+                                 "requests_per_hour": 1.8e-8},
+                      "loading_period_s": 10**12}
+
+
 def slow_pair(there, back):
     """0 <-> 1 at 40 s, 1 -> 2 at ``there`` s and 2 -> 1 at ``back`` s."""
     times = [(0, 1, 40), (1, 0, 40), (1, 2, there), (2, 1, back)]
@@ -434,6 +440,8 @@ def slow_pair(there, back):
     ("validate", {"network": {"kind": "file", "path": "net.json"}},
      {"net.json": slow_pair(10**400, 40)}),
     ("validate", {"network": dict(GRID, link_travel_time_s=2**50)}, {}),
+    ("run", SPARSE_LONG_PERIOD, {}),
+    ("validate", SPARSE_LONG_PERIOD, {}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
@@ -444,7 +452,9 @@ def slow_pair(there, back):
         "validate-uniform-rate-too-large", "validate-poisson-rate-too-large",
         "validate-t_r-beyond-update-cap", "validate-t_r-string",
         "link-time-not-exact", "link-times-sum-not-exact",
-        "link-time-overflows-float", "grid-link-times-sum-not-exact"])
+        "link-time-overflows-float", "grid-link-times-sum-not-exact",
+        "random-period-beyond-update-cap",
+        "validate-random-period-beyond-update-cap"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     monkeypatch.chdir(tmp_path)
@@ -462,3 +472,28 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("demand", [
+    {"kind": "uniform", "requests_per_hour": 1e15},
+    # each mean is below the cap, their sum is not
+    {"kind": "poisson", "od_rates": [
+        {"origin": 0, "destination": 8, "rate_per_hour": 6e5},
+        {"origin": 8, "destination": 0, "rate_per_hour": 6e5}]},
+], ids=["uniform", "poisson-sum"])
+def test_request_cap_draws_nothing(tmp_path, monkeypatch, capsys, command,
+                                   demand):
+    drawn = []
+    monkeypatch.setattr(sim, "_poisson_count",
+                        lambda rng, lam: drawn.append(lam) or 0)
+    path = tmp_path / "doc.json"
+    write_config(path, demand=demand, loading_period_s=3600)
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than the {sim.MAX_REQUESTS}" in err
+    assert drawn == []

@@ -1,10 +1,13 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ridematch.assignment import feasible_vehicles
 from ridematch.model import DROPOFF, PICKUP, Stop
-from ridematch.scheduling import (evaluate_tour, path_cost, split_merge_cost,
-                                  split_tour)
+from ridematch.network import Link, RoadNetwork
+from ridematch.scheduling import (INFEASIBLE, evaluate_tour, path_cost,
+                                  split_merge_cost, split_tour, tour_legs)
 
 from conftest import dropoff, make_request, make_vehicle, pickup
 from instance_gen import (donor_vehicle, random_request, vehicle_with_plan,
@@ -264,6 +267,116 @@ class TestPathCost:
         assert ties >= 10
 
 
+class RecordingNet:
+    """A network whose routing rows note every node they are read at."""
+
+    def __init__(self, net):
+        self.net = net
+        self.rows_built = []  # targets whose row was asked for, in order
+        self.read_at = set()
+
+    def travel_times_to(self, dst):
+        self.rows_built.append(dst)
+        return RecordingRow(self.net.travel_times_to(dst), self.read_at)
+
+
+class RecordingRow(dict):
+    def __init__(self, row, read_at):
+        super().__init__(row)
+        self.read_at = read_at
+
+    def get(self, node, default=None):
+        self.read_at.add(node)
+        return super().get(node, default)
+
+
+class TestPricingBounds:
+    """Cuts from shortest legs: no tour reaches a stop sooner than
+    straight from where the vehicle is."""
+
+    @pytest.mark.parametrize("t,ready_at,feasible", [
+        (0, 0, True), (0, 30, False), (45, 0, False)])
+    def test_root_check_uses_departure_time(self, line_net, t, ready_at,
+                                            feasible):
+        # rider 9 waits at node 1 until q_r = 60; the cab at node 0 is 60 s
+        # away, within f_r, but may not leave before max(t, ready_at)
+        r7 = make_request(7, 0, 0, 4, 600, line_net)
+        r9 = make_request(9, 0, 1, 3, 60, line_net)
+        veh = make_vehicle(0, 0, ready_at=ready_at,
+                           tour=(pickup(r7), dropoff(r7)))
+        assert feasible_vehicles(line_net, r9, [veh]) == [veh]
+        recording = RecordingNet(line_net)
+        plan = path_cost(recording, t, veh, r9)
+        stops = [pickup(r7), dropoff(r7), pickup(r9), dropoff(r9)]
+        oracle_cost, _ = best_plan(
+            travel_times(line_net), t, 0, max(t, ready_at),
+            all_orderings(stops, set()), 0, veh.capacity,
+            windows_of([r7, r9]))
+        assert plan.feasible == feasible == (oracle_cost is not None)
+        if feasible:
+            assert plan.cost == oracle_cost
+        else:
+            assert plan == INFEASIBLE
+            assert recording.rows_built == [r9.origin]  # no leg built
+
+    def test_search_cut_fires_mid_tour(self, line_net):
+        # cab at node 2 holds rider 1 (1 -> 0, due at 0 by 120); rider 2
+        # rides 3 -> 4.  Fetching rider 2 first puts the cab at node 3 at
+        # 60, too late for rider 1's pickup at 1 (due by 60), so that
+        # branch is cut before it goes on to node 4
+        r1 = make_request(1, 0, 1, 0, 60, line_net)
+        r2 = make_request(2, 0, 3, 4, 300, line_net)
+        veh = make_vehicle(0, 2, tour=(pickup(r1), dropoff(r1)))
+        recording = RecordingNet(line_net)
+        plan = path_cost(recording, 0, veh, r2)
+        stops = [pickup(r1), dropoff(r1), pickup(r2), dropoff(r2)]
+        oracle_cost, oracle_tour = best_plan(
+            travel_times(line_net), 0, 2, 0, all_orderings(stops, set()), 0,
+            veh.capacity, windows_of([r1, r2]))
+        assert plan == (True, 360, oracle_tour) and oracle_cost == 360
+        # node 4 ends the only feasible tour; only a branch that kept
+        # going after the cut would read a leg from there
+        assert 4 not in recording.read_at
+
+    def test_prebuilt_legs_change_nothing(self, grid3, skew3):
+        rng = random.Random(91)
+        feasible = 0
+        for trial in range(80):
+            net = skew3 if trial % 2 else grid3
+            veh, _ = vehicle_with_plan(rng, net, rng.randrange(0, 5), t=0,
+                                       capacity=rng.randrange(4, 7), vid=0,
+                                       max_tries=2000)
+            new = random_request(rng, net, 9, t=0)
+            t = rng.choice((0, 45))
+            plan = path_cost(net, t, veh, new)
+            assert path_cost(net, t, veh, new,
+                             tour_legs(net, veh.tour)) == plan
+            feasible += plan.feasible
+        assert feasible >= 10
+
+
+    def test_one_second_win_survives_the_cuts(self):
+        # one-way links: 0->1 10 s, 0->2 19 s, 1->2 10 s, 2->1 5 s, 1->3
+        # 10 s, 3->0 100 s.  The cab at 0 carries rider 1 to node 1; rider
+        # 2 rides 2 -> 3.  The first order reached, drop 1 then serve 2,
+        # ends at 35; fetching rider 2 first ends at 34, exactly its
+        # bound when it leaves node 2 (node 1 lies on the way to 3)
+        net = RoadNetwork(range(4), [
+            Link(a, b, 100.0, s) for a, b, s in ((0, 1, 10), (0, 2, 19),
+                                                 (1, 2, 10), (2, 1, 5),
+                                                 (1, 3, 10), (3, 0, 100))])
+        drop1 = Stop(DROPOFF, 1, 1, 500)
+        r2 = make_request(2, 0, 2, 3, 100, net)
+        veh = make_vehicle(0, 0, tour=(drop1,), onboard={1})
+        plan = path_cost(net, 0, veh, r2)
+        stops = [drop1, pickup(r2), dropoff(r2)]
+        costs = [plan_arrivals(travel_times(net), 0, 0, order, 1, 4,
+                               {1: (0, 500), 2: (r2.q_r, r2.l_r)})[-1]
+                 for order in all_orderings(stops, {1})]
+        assert costs == [35, 34, 144]
+        assert plan == (True, 34, (pickup(r2), drop1, dropoff(r2)))
+
+
 class TestSplitMergeCost:
     def test_hand_merge_on_line(self, line_net):
         # donor at 4 with r1 (0 -> 2); recipient at 0 with r2 (0 -> 2)
@@ -344,13 +457,16 @@ class TestSplitMergeCost:
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), merge=st.booleans(),
        n=st.integers(0, 4), capacity=st.integers(2, 6),
-       asymmetric=st.booleans())
+       asymmetric=st.booleans(), t=st.sampled_from([0, 45]))
 def test_pricing_returns_first_optimum(grid3, skew3, seed, merge, n,
-                                       capacity, asymmetric):
+                                       capacity, asymmetric, t):
     """On random grid3 instances, and on a 3x3 grid where a leg and its
     reverse can differ in time, the returned tour re-prices through
     evaluate_tour to the returned cost and is the oracle's first optimum
-    (the oracle's travel times come from a directed Bellman-Ford)."""
+    (the oracle's travel times come from a directed Bellman-Ford).  The
+    instances are drawn at time 0 with vehicles ready within 90 s, so
+    pricing at ``t`` 45 departs at ``t`` for some and at ``ready_at`` for
+    others."""
     net = skew3 if asymmetric else grid3
     rng = random.Random(seed)
     times = travel_times(net)
@@ -361,7 +477,7 @@ def test_pricing_returns_first_optimum(grid3, skew3, seed, merge, n,
                                           capacity=capacity, vid=2,
                                           base_rid=100, max_tries=2000)
         windows = windows_of(d_reqs + existing)
-        plan = split_merge_cost(net, 0, donor, veh)
+        plan = split_merge_cost(net, t, donor, veh)
         cands = all_block_merges(veh.tour, *split_tour(donor.tour))
     else:
         veh, existing = vehicle_with_plan(rng, net, n, t=0,
@@ -369,21 +485,21 @@ def test_pricing_returns_first_optimum(grid3, skew3, seed, merge, n,
                                           max_tries=2000)
         new = random_request(rng, net, 9, t=0)
         windows = windows_of(existing + [new])
-        plan = path_cost(net, 0, veh, new)
+        plan = path_cost(net, t, veh, new)
         if veh.available_capacity < 1:  # every seat already promised
             assert not plan.feasible
             return
         pair = (pickup(new), dropoff(new))
         cands = (all_orderings(list(veh.tour + pair), veh.onboard) if n <= 2
                  else all_pair_insertions(veh.tour, *pair))
-    depart = max(0, veh.ready_at)
+    depart = max(t, veh.ready_at)
     oracle_cost, oracle_tour = best_plan(
-        times, 0, veh.location, depart, cands, len(veh.onboard),
+        times, t, veh.location, depart, cands, len(veh.onboard),
         veh.capacity, windows)
     if oracle_cost is None:
         assert plan == (False, None, None)
         return
     assert plan.feasible and plan.tour == oracle_tour
-    repriced = evaluate_tour(net, 0, veh.location, depart, plan.tour,
+    repriced = evaluate_tour(net, t, veh.location, depart, plan.tour,
                              len(veh.onboard), veh.capacity)
     assert repriced is not None and repriced[0] == plan.cost == oracle_cost

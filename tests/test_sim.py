@@ -10,8 +10,10 @@ import pytest
 from ridematch.metrics import compute_metrics
 from ridematch.model import SERVED
 from ridematch.network import Link, RoadNetwork
-from ridematch.sim import (ConfigError, ScenarioConfig, SimulationState,
-                           advance, build_network, check_demand_reachability,
+from ridematch.sim import (MAX_REQUESTS, MAX_UPDATES, ConfigError,
+                           ScenarioConfig, SimulationState, advance,
+                           build_network, check_demand_bounds,
+                           check_demand_reachability,
                            commuter_config, example_config, generate_demand,
                            initialize_fleet, load_requests, run_scenario,
                            write_trip_log, TRIP_LOG_COLUMNS)
@@ -163,6 +165,34 @@ class TestDemand:
                   for s in range(300)]
         mean = sum(counts) / len(counts)
         assert abs(mean - 60.0) <= 3 * math.sqrt(60.0 / 300)
+
+    def test_request_cap_bounds_the_mean(self, grid3):
+        def config(rate):
+            return ScenarioConfig.from_dict(minimal_doc(
+                loading_period_s=3600,
+                demand={"kind": "uniform", "requests_per_hour": rate}))
+
+        check_demand_bounds(config(MAX_REQUESTS), grid3)  # mean == cap
+        with pytest.raises(ConfigError, match="requests, more than"):
+            check_demand_bounds(config(MAX_REQUESTS + 1), grid3)
+        with pytest.raises(ConfigError, match="requests, more than"):
+            generate_demand(config(MAX_REQUESTS + 1), grid3,
+                            np.random.default_rng(0))
+
+    def test_random_demand_period_needs_updates(self, grid3):
+        # a request may arrive as the loading period ends and ride until
+        # flexibility_s later; with no demand at all nothing arrives
+        def config(period, rate=1.0):
+            return ScenarioConfig.from_dict(minimal_doc(
+                loading_period_s=period, flexibility_s=240,
+                update_interval_s=30,
+                demand={"kind": "uniform", "requests_per_hour": rate}))
+
+        fits = 30 * (MAX_UPDATES - 2) - 240 + 29
+        check_demand_bounds(config(fits), grid3)
+        with pytest.raises(ConfigError, match="updates of 30 s"):
+            check_demand_bounds(config(fits + 1), grid3)
+        check_demand_bounds(config(10**12, rate=0), grid3)
 
     def test_request_file(self, grid3, tmp_path):
         path = tmp_path / "requests.json"
