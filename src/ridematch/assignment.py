@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .model import Request, Tour, Vehicle
 from .network import RoadNetwork
-from .scheduling import Leg, path_cost, tour_legs
+from .scheduling import PricingContext, path_cost
 
 
 @dataclass(frozen=True)
@@ -61,22 +61,19 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
     """Price every candidate request/vehicle pair at update time ``t``.
 
     Requests are priced, and each request's candidate vehicles listed, in
-    id order.  A vehicle's tour legs are built the first time it is
-    priced and reused for every later request of the call.
+    id order.  One ``PricingContext`` serves the whole call, so each
+    vehicle's and each request's side of the search is built once.
     """
     edges: list[Edge] = []
     feasible_sets: dict[int, tuple[int, ...]] = {}
-    legs_of: dict[int, list[Leg]] = {}
+    context = PricingContext(net)
     ordered_requests = sorted(requests, key=lambda r: r.id)
     ordered_vehicles = sorted(vehicles, key=lambda v: v.id)
     for req in ordered_requests:
         candidates = feasible_vehicles(net, req, ordered_vehicles)
         feasible_sets[req.id] = tuple(v.id for v in candidates)
         for veh in candidates:
-            legs = legs_of.get(veh.id)
-            if legs is None:
-                legs = legs_of[veh.id] = tour_legs(net, veh.tour)
-            plan = path_cost(net, t, veh, req, legs)
+            plan = path_cost(net, t, veh, req, context)
             if plan.feasible:
                 edges.append(Edge(req.id, veh.id, plan.cost, plan.tour))
     return BipartiteGraph(

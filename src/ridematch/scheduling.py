@@ -10,10 +10,13 @@ Every plan shape is one depth-first search over units (single stops or
 donor half-tour blocks) that places the lowest-index placeable unit
 first, carrying the clock and load, so whole tours come in a fixed
 enumeration order.  The search reads each stop as a leg: the travel
-times into its node, the node, its deadline and its load change.
-``build_bipartite`` builds a vehicle's tour legs once per round and
-hands them to every ``path_cost`` call for that vehicle, which then
-builds only the new request's two legs.
+times into its node, the node, its deadline and its load change.  An
+insertion search joins two sides: the vehicle's (its tour's units, their
+legs and the precedence list) and the request's (its pickup/dropoff
+pair and their legs).  ``build_bipartite`` shares one
+``PricingContext`` across its round, which builds each side the first
+time a ``path_cost`` call needs it.  An empty tour has one plan, the
+pair, which ``path_cost`` prices in closed form at the search's cost.
 
 Legs are shortest paths, so no tour reaches a stop sooner than straight
 from where the vehicle is.  That gives two exact cuts.  Before any leg is
@@ -87,44 +90,110 @@ def tour_legs(net: RoadNetwork, stops: Sequence[Stop]) -> list[Leg]:
 EXHAUSTIVE_REQUEST_LIMIT = 2
 
 
+class _VehicleSide(NamedTuple):
+    """A vehicle's half of every insertion search: its tour's units and
+    their legs, and the ``after`` list of the joined search, in which
+    the new pair's two units follow the tour's when ``tour_first``."""
+
+    tour_first: bool
+    units: tuple[Tour, ...]
+    legs: tuple[tuple[Leg, ...], ...]
+    after: list[int]
+
+
+class _RequestSide(NamedTuple):
+    """A request's half: its pickup/dropoff pair, as units and legs."""
+
+    pair: Tour
+    units: tuple[Tour, ...]
+    legs: tuple[tuple[Leg, ...], ...]
+    to_destination: Mapping[int, int]
+
+
+class PricingContext:
+    """Both sides of the insertion searches of one assignment round, each
+    built the first time a ``path_cost`` call needs it.
+
+    Sides are keyed by vehicle and request id, so a context is only valid
+    on one network while no tour changes: ``build_bipartite`` makes one
+    per call and drops it when the call ends.
+    """
+
+    def __init__(self, net: RoadNetwork):
+        self.net = net
+        self._vehicles: dict[int, _VehicleSide] = {}
+        self._requests: dict[int, _RequestSide] = {}
+
+    def vehicle_side(self, vehicle: Vehicle) -> _VehicleSide:
+        side = self._vehicles.get(vehicle.id)
+        if side is None:
+            tour = vehicle.tour
+            units = tuple((s,) for s in tour)
+            legs = tuple((leg,) for leg in tour_legs(self.net, tour))
+            # every rider has a stop in the tour, so this counts its
+            # requests: few enough to re-order, or keep the order and
+            # insert the pair, which then comes first
+            if vehicle.occupants <= EXHAUSTIVE_REQUEST_LIMIT:
+                pickup_at = {s.request_id: k for k, s in enumerate(tour)
+                             if s.kind == PICKUP}
+                after = [-1 if s.kind == PICKUP
+                         else pickup_at.get(s.request_id, -1) for s in tour]
+                side = _VehicleSide(True, units, legs,
+                                    after + [-1, len(tour)])
+            else:
+                side = _VehicleSide(False, units, legs,
+                                    _chained(2, len(tour)))
+            self._vehicles[vehicle.id] = side
+        return side
+
+    def request_side(self, request: Request) -> _RequestSide:
+        side = self._requests.get(request.id)
+        if side is None:
+            pair = (Stop(PICKUP, request.id, request.origin, request.q_r),
+                    Stop(DROPOFF, request.id, request.destination,
+                         request.l_r))
+            legs = tour_legs(self.net, pair)
+            side = self._requests[request.id] = _RequestSide(
+                pair, ((pair[0],), (pair[1],)), ((legs[0],), (legs[1],)),
+                legs[1][0])
+        return side
+
+
 def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
-              legs: Sequence[Leg] | None = None) -> PlanResult:
+              context: PricingContext | None = None) -> PlanResult:
     """Best feasible tour serving the vehicle's plan plus one new request.
 
     Tours with at most two distinct requests are re-optimised over every
     order of their stops and the new pair, each dropoff after its own
     pickup.  Longer ones keep their stop order and take the cheapest
     insertion of the new pickup/dropoff pair, tried in ascending (pickup
-    slot, dropoff slot) order.  Ties keep the first candidate.  ``legs``
-    are ``tour_legs(net, vehicle.tour)`` when the caller has them
-    already; the result is the same without them.
+    slot, dropoff slot) order.  Ties keep the first candidate.  An empty
+    tour has one plan, the pair, priced in closed form.  ``context``
+    shares the vehicle's and the request's sides of the search across
+    one round's calls; the result is the same without it.
     """
     if vehicle.available_capacity < 1:
         return INFEASIBLE
     # no tour reaches the pickup sooner than straight from the departure
-    to_origin = net.travel_times_to(request.origin)
-    approach = to_origin.get(vehicle.location)
-    if approach is None or max(t, vehicle.ready_at) + approach > request.q_r:
+    approach = net.travel_times_to(request.origin).get(vehicle.location)
+    depart = max(t, vehicle.ready_at)
+    if approach is None or depart + approach > request.q_r:
         return INFEASIBLE
-    if legs is None:
-        legs = tour_legs(net, vehicle.tour)
-    pair = (Stop(PICKUP, request.id, request.origin, request.q_r),
-            Stop(DROPOFF, request.id, request.destination, request.l_r))
-    pair_legs = [(to_origin, request.origin, request.q_r, PICKUP),
-                 (net.travel_times_to(request.destination),
-                  request.destination, request.l_r, DROPOFF)]
-    # every rider has a stop in the tour, so this counts its requests
-    if vehicle.occupants <= EXHAUSTIVE_REQUEST_LIMIT:
-        stops = vehicle.tour + pair
-        pickup_at = {s.request_id: k for k, s in enumerate(stops)
-                     if s.kind == PICKUP}
-        after = [-1 if s.kind == PICKUP else pickup_at.get(s.request_id, -1)
-                 for s in stops]
-        return _cheapest(t, vehicle, [(s,) for s in stops],
-                         [(leg,) for leg in [*legs, *pair_legs]], after)
-    return _cheapest(t, vehicle, [(s,) for s in pair + vehicle.tour],
-                     [(leg,) for leg in [*pair_legs, *legs]],
-                     _chained(2, len(vehicle.tour)))
+    if context is None:
+        context = PricingContext(net)
+    pair, pair_units, pair_legs, to_destination = \
+        context.request_side(request)
+    if not vehicle.tour:
+        # nothing is aboard, so the seat test covers the load
+        direct = to_destination.get(request.origin)
+        if direct is None or depart + approach + direct > request.l_r:
+            return INFEASIBLE
+        return PlanResult(True, depart + approach + direct - t, pair)
+    tour_first, units, legs, after = context.vehicle_side(vehicle)
+    if tour_first:
+        return _cheapest(t, vehicle, units + pair_units, legs + pair_legs,
+                         after)
+    return _cheapest(t, vehicle, pair_units + units, pair_legs + legs, after)
 
 
 def split_tour(tour: Tour) -> tuple[Tour, Tour]:

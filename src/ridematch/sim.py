@@ -421,22 +421,26 @@ def check_demand_bounds(config: ScenarioConfig, net: RoadNetwork,
                         demand: Sequence[Request] | None = None) -> None:
     """Reject demand that ``run_scenario`` cannot simulate.
 
-    Random demand is bounded by its config alone, so the verdict never
-    depends on the draw: its Poisson means may sum to at most
-    ``MAX_REQUESTS``, and when the sum is positive a request may arrive
-    until the loading period ends and ride until ``flexibility_s`` after
-    that, which must fit in ``MAX_UPDATES`` updates.  ``generate_demand``
-    checks this before it draws.  The requests, read from the file when
-    ``demand`` is not given, must fit in ``MAX_UPDATES`` updates too.
+    Random demand is bounded by its config and network alone, so the
+    verdict never depends on the draw: its Poisson means may sum to at
+    most ``MAX_REQUESTS``, and when the sum is positive a request may
+    arrive until the loading period ends and ride until ``flexibility_s``
+    plus its direct travel time after that, which must fit in
+    ``MAX_UPDATES`` updates.  ``generate_demand`` checks this before it
+    draws, after ``check_demand_reachability`` has found a route for
+    every OD pair.  The requests, read from the file when ``demand`` is
+    not given, must fit in ``MAX_UPDATES`` updates too.
     """
     delta = config.update_interval_s
     if config.demand["kind"] != "file":
-        total = sum(_poisson_means(config))
+        means = _poisson_means(config)
+        total = sum(means)
         if not total <= MAX_REQUESTS:  # also an overflowed inf or nan
             raise ConfigError(f"demand averages {total:.3g} requests, more "
                               f"than the {MAX_REQUESTS} a run may hold")
         if total > 0:
-            _check_updates((config.loading_period_s + config.flexibility_s)
+            _check_updates((config.loading_period_s + config.flexibility_s
+                            + _longest_route(config, net, means))
                            // delta + 2, delta)
         if demand is None:
             return
@@ -446,6 +450,21 @@ def check_demand_bounds(config: ScenarioConfig, net: RoadNetwork,
     # after its q_r, so updates 0 .. max(l_r) // delta + 1 always suffice
     _check_updates(max((r.l_r for r in demand), default=0) // delta + 2,
                    delta)
+
+
+def _longest_route(config: ScenarioConfig, net: RoadNetwork,
+                   means: Sequence[float]) -> int:
+    """An upper bound on the direct travel time of any request random
+    demand can draw: exact over the OD pairs of Poisson demand that have
+    a positive mean.  Uniform demand can draw any pair, and a shortest
+    path has at most ``len(nodes) - 1`` links, so it takes that many of
+    the longest link, which needs no routing row."""
+    if config.demand["kind"] == "uniform":
+        return (len(net.nodes) - 1) * max(
+            (link.travel_time_s for link in net.links), default=0)
+    return max(net.shortest_travel_time(rec["origin"], rec["destination"])
+               for rec, lam in zip(config.demand["od_rates"], means)
+               if lam > 0)
 
 
 def _check_updates(needed: int, delta: int) -> None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ridematch
-from ridematch import engine
+from ridematch import assignment, engine
 from ridematch.model import PENDING, Request
 from ridematch.sim import example_config, run_scenario
 
@@ -77,3 +77,28 @@ def test_matchers_take_pending_third(monkeypatch, matcher):
         u["finalized"] + u["expired"] + u["deferred"]
         for u in result.update_records]
     assert any(n for _, _, n, _ in calls)
+
+
+def test_every_candidate_is_priced_through_the_hooked_name(monkeypatch):
+    """The tracer's ``scheduling.insertion_*`` metrics wrap
+    ``assignment.path_cost``: ``build_bipartite`` must look that name up
+    once per candidate pair, not price through a private path."""
+    priced = []
+    real_path_cost = assignment.path_cost
+    monkeypatch.setattr(assignment, "path_cost",
+                        lambda *args: priced.append(args)
+                        or real_path_cost(*args))
+    per_call = []
+    real_build = engine.build_bipartite
+
+    def build(*args):
+        before = len(priced)
+        graph = real_build(*args)
+        per_call.append((len(priced) - before,
+                         sum(map(len, graph.feasible_sets.values()))))
+        return graph
+
+    monkeypatch.setattr(engine, "build_bipartite", build)
+    run_scenario(example_config(loading_period_s=300, fleet_size=5))
+    assert sum(n for n, _ in per_call) > 0
+    assert all(n == candidates for n, candidates in per_call)

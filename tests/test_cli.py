@@ -368,6 +368,24 @@ SPARSE_LONG_PERIOD = {"demand": {"kind": "uniform",
                       "loading_period_s": 10**12}
 
 
+def two_nodes(link_time):
+    """0 <-> 1, ``link_time`` s each way."""
+    return {"nodes": [{"id": 0}, {"id": 1}],
+            "links": [{"from": a, "to": b, "length_m": 400.0,
+                       "travel_time_s": link_time}
+                      for a, b in ((0, 1), (1, 0))]}
+
+
+# a 300 s loading period, but every ride takes 4e7 s: more than
+# MAX_UPDATES updates of 30 s
+LONG_ROUTES = [{"network": {"kind": "file", "path": "net.json"},
+                "demand": demand}
+               for demand in ({"kind": "uniform", "requests_per_hour": 120},
+                              {"kind": "poisson", "od_rates": [
+                                  {"origin": 1, "destination": 0,
+                                   "rate_per_hour": 120}]})]
+
+
 def slow_pair(there, back):
     """0 <-> 1 at 40 s, 1 -> 2 at ``there`` s and 2 -> 1 at ``back`` s."""
     times = [(0, 1, 40), (1, 0, 40), (1, 2, there), (2, 1, back)]
@@ -442,6 +460,10 @@ def slow_pair(there, back):
     ("validate", {"network": dict(GRID, link_travel_time_s=2**50)}, {}),
     ("run", SPARSE_LONG_PERIOD, {}),
     ("validate", SPARSE_LONG_PERIOD, {}),
+    ("run", LONG_ROUTES[0], {"net.json": two_nodes(4 * 10**7)}),
+    ("validate", LONG_ROUTES[0], {"net.json": two_nodes(4 * 10**7)}),
+    ("run", LONG_ROUTES[1], {"net.json": two_nodes(4 * 10**7)}),
+    ("validate", LONG_ROUTES[1], {"net.json": two_nodes(4 * 10**7)}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
@@ -454,7 +476,11 @@ def slow_pair(there, back):
         "link-time-not-exact", "link-times-sum-not-exact",
         "link-time-overflows-float", "grid-link-times-sum-not-exact",
         "random-period-beyond-update-cap",
-        "validate-random-period-beyond-update-cap"])
+        "validate-random-period-beyond-update-cap",
+        "uniform-route-beyond-update-cap",
+        "validate-uniform-route-beyond-update-cap",
+        "poisson-route-beyond-update-cap",
+        "validate-poisson-route-beyond-update-cap"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     monkeypatch.chdir(tmp_path)

@@ -1,13 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridematch.assignment import feasible_vehicles
-from ridematch.model import DROPOFF, PICKUP, Stop
+from ridematch.model import DROPOFF, PICKUP, Request, Stop
 from ridematch.network import Link, RoadNetwork
-from ridematch.scheduling import (INFEASIBLE, evaluate_tour, path_cost,
-                                  split_merge_cost, split_tour, tour_legs)
+from ridematch.scheduling import (INFEASIBLE, PricingContext, evaluate_tour,
+                                  path_cost, split_merge_cost, split_tour)
 
 from conftest import dropoff, make_request, make_vehicle, pickup
 from instance_gen import (donor_vehicle, random_request, vehicle_with_plan,
@@ -338,22 +339,37 @@ class TestPricingBounds:
         # going after the cut would read a leg from there
         assert 4 not in recording.read_at
 
-    def test_prebuilt_legs_change_nothing(self, grid3, skew3):
+    def test_shared_context_changes_nothing(self, grid3, skew3):
+        # one context per round, as build_bipartite keeps it: every
+        # vehicle shape priced against a dozen requests, in the round's
+        # order, prices exactly as it does alone
         rng = random.Random(91)
-        feasible = 0
-        for trial in range(80):
-            net = skew3 if trial % 2 else grid3
-            veh, _ = vehicle_with_plan(rng, net, rng.randrange(0, 5), t=0,
-                                       capacity=rng.randrange(4, 7), vid=0,
-                                       max_tries=2000)
-            new = random_request(rng, net, 9, t=0)
-            t = rng.choice((0, 45))
-            plan = path_cost(net, t, veh, new)
-            assert path_cost(net, t, veh, new,
-                             tour_legs(net, veh.tour)) == plan
-            feasible += plan.feasible
-        assert feasible >= 10
-
+        shapes = {"idle": 0, "exhaustive": 2, "insertion": 3, "full": 2}
+        for net in (grid3, skew3):
+            vehicles = {"idle": make_vehicle(0, rng.choice(net.nodes),
+                                             ready_at=rng.randrange(0, 90))}
+            for vid, shape in enumerate(("exhaustive", "insertion",
+                                         "full"), start=1):
+                vehicles[shape], _ = vehicle_with_plan(
+                    rng, net, shapes[shape], t=0,
+                    capacity=shapes[shape] if shape == "full" else 6,
+                    vid=vid, base_rid=100 * vid, allow_onboard=False,
+                    max_tries=2000)
+            assert vehicles["full"].available_capacity == 0
+            assert vehicles["insertion"].occupants == 3
+            requests = [random_request(rng, net, rid, t=0)
+                        for rid in range(12)]
+            for t in (0, 45):
+                context = PricingContext(net)
+                feasible = dict.fromkeys(shapes, 0)
+                for req in requests:
+                    for shape, veh in vehicles.items():
+                        plan = path_cost(net, t, veh, req)
+                        assert path_cost(net, t, veh, req, context) == plan
+                        feasible[shape] += plan.feasible
+                assert feasible["full"] == 0
+                assert all(feasible[s] for s in ("idle", "exhaustive",
+                                                 "insertion")), feasible
 
     def test_one_second_win_survives_the_cuts(self):
         # one-way links: 0->1 10 s, 0->2 19 s, 1->2 10 s, 2->1 5 s, 1->3
@@ -375,6 +391,61 @@ class TestPricingBounds:
                  for order in all_orderings(stops, {1})]
         assert costs == [35, 34, 144]
         assert plan == (True, 34, (pickup(r2), drop1, dropoff(r2)))
+
+
+def idle_oracle(net, t, veh, req):
+    """The oracle's first optimum for an empty tour plus ``req``."""
+    return best_plan(travel_times(net), t, veh.location,
+                     max(t, veh.ready_at),
+                     all_orderings([pickup(req), dropoff(req)], set()), 0,
+                     veh.capacity, windows_of([req]))
+
+
+class TestIdleClosedForm:
+    """An empty tour has one plan, straight to the pickup and on to the
+    dropoff, priced without the search."""
+
+    @pytest.mark.parametrize("slack", [0, -1])
+    def test_dropoff_deadline_edge(self, line_net, slack):
+        # cab at node 0; rider 1 -> 3: pickup at 60, dropoff at 180
+        req = make_request(1, 0, 1, 3, 60, line_net)
+        req = dataclasses.replace(req, l_r=180 + slack)
+        veh = make_vehicle(0, 0)
+        oracle_cost, oracle_tour = idle_oracle(line_net, 0, veh, req)
+        plan = path_cost(line_net, 0, veh, req)
+        if slack == 0:
+            assert plan == (True, 180, oracle_tour) and oracle_cost == 180
+        else:
+            assert plan == INFEASIBLE and oracle_cost is None
+
+    def test_destination_unreachable_from_origin(self):
+        # one-way links 0 -> 1 and 2 -> 1: the cab reaches the pickup at
+        # 1, but the destination's row has no entry for it
+        net = RoadNetwork(range(3), [Link(0, 1, 100.0, 10),
+                                     Link(2, 1, 100.0, 10)])
+        req = Request(id=1, t_r=0, e_r=0, l_r=10**6, origin=1,
+                      destination=2, f_r=600, q_r=600, direct_time_s=0)
+        veh = make_vehicle(0, 0)
+        assert 1 not in net.travel_times_to(2)
+        assert idle_oracle(net, 0, veh, req) == (None, None)
+        assert path_cost(net, 0, veh, req) == INFEASIBLE
+
+    @pytest.mark.parametrize("t,ready_at", [
+        (0, 0), (0, 30), (45, 0), (45, 60)])
+    def test_departs_at_ready_time(self, grid3, t, ready_at):
+        rng = random.Random(17)
+        feasible = 0
+        for rid in range(40):
+            req = random_request(rng, grid3, rid, t=0)
+            veh = make_vehicle(0, rng.choice(grid3.nodes), ready_at=ready_at)
+            oracle_cost, oracle_tour = idle_oracle(grid3, t, veh, req)
+            plan = path_cost(grid3, t, veh, req)
+            if oracle_cost is None:
+                assert plan == INFEASIBLE
+            else:
+                assert plan == (True, oracle_cost, oracle_tour)
+                feasible += 1
+        assert 10 <= feasible < 40
 
 
 class TestSplitMergeCost:

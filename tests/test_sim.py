@@ -181,18 +181,37 @@ class TestDemand:
 
     def test_random_demand_period_needs_updates(self, grid3):
         # a request may arrive as the loading period ends and ride until
-        # flexibility_s later; with no demand at all nothing arrives
+        # flexibility_s plus its direct time later, which uniform demand
+        # bounds by 8 links of 40 s on grid3; with no demand at all
+        # nothing arrives
         def config(period, rate=1.0):
             return ScenarioConfig.from_dict(minimal_doc(
                 loading_period_s=period, flexibility_s=240,
                 update_interval_s=30,
                 demand={"kind": "uniform", "requests_per_hour": rate}))
 
-        fits = 30 * (MAX_UPDATES - 2) - 240 + 29
+        fits = 30 * (MAX_UPDATES - 2) - 240 - 8 * 40 + 29
         check_demand_bounds(config(fits), grid3)
         with pytest.raises(ConfigError, match="updates of 30 s"):
             check_demand_bounds(config(fits + 1), grid3)
         check_demand_bounds(config(10**12, rate=0), grid3)
+
+    def test_poisson_period_counts_its_longest_route(self, skew3):
+        # skew3: 0 -> 8 takes 160 s, 8 -> 0 320 s; a pair with no rate
+        # is never drawn, so only the 160 s route counts
+        def config(period):
+            return ScenarioConfig.from_dict(minimal_doc(
+                loading_period_s=period, flexibility_s=240,
+                update_interval_s=30,
+                demand={"kind": "poisson", "od_rates": [
+                    {"origin": 0, "destination": 8, "rate_per_hour": 1e-6},
+                    {"origin": 8, "destination": 0, "rate_per_hour": 0}]}))
+
+        assert skew3.shortest_travel_time(0, 8) == 160
+        fits = 30 * (MAX_UPDATES - 2) - 240 - 160 + 29
+        check_demand_bounds(config(fits), skew3)
+        with pytest.raises(ConfigError, match="updates of 30 s"):
+            check_demand_bounds(config(fits + 1), skew3)
 
     def test_request_file(self, grid3, tmp_path):
         path = tmp_path / "requests.json"
