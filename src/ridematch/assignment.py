@@ -57,16 +57,22 @@ def feasible_vehicles(net: RoadNetwork, request: Request,
 
 
 def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
-                    vehicles: Sequence[Vehicle]) -> BipartiteGraph:
+                    vehicles: Sequence[Vehicle],
+                    context: PricingContext | None = None) -> BipartiteGraph:
     """Price every candidate request/vehicle pair at update time ``t``.
 
     Requests are priced, and each request's candidate vehicles listed, in
     id order.  One ``PricingContext`` serves the whole call, so each
-    vehicle's and each request's side of the search is built once.
+    vehicle's and each request's side of the search is built once; a
+    fresh one unless ``context`` is given.  A given context may come from
+    earlier rounds of the same update instant, as long as every vehicle
+    whose tour changed since was forgotten: its sides and its infeasible
+    verdicts then carry over.
     """
     edges: list[Edge] = []
     feasible_sets: dict[int, tuple[int, ...]] = {}
-    context = PricingContext(net)
+    if context is None:
+        context = PricingContext(net)
     ordered_requests = sorted(requests, key=lambda r: r.id)
     ordered_vehicles = sorted(vehicles, key=lambda v: v.id)
     for req in ordered_requests:

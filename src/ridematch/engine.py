@@ -17,6 +17,7 @@ from typing import Sequence
 from .assignment import BipartiteGraph, build_bipartite, solve_assignment
 from .model import ASSIGNED, EXPIRED, PENDING, Request, Vehicle
 from .network import RoadNetwork
+from .scheduling import PricingContext
 from .vehicle_graph import step2_loop
 
 
@@ -52,16 +53,17 @@ def _begin_update(t: int, pending: Sequence[Request],
 
 
 def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
-                      vehicles: Sequence[Vehicle],
-                      outcome: UpdateOutcome) -> BipartiteGraph:
+                      vehicles: Sequence[Vehicle], outcome: UpdateOutcome,
+                      context: PricingContext) -> BipartiteGraph:
     """Price, solve and commit one assignment round; return the priced
     graph.  A graph with an edge always yields at least one match.
 
     A matched vehicle adopts the priced tour and is pinned to depart no
     earlier than ``t``, so the realized schedule equals the priced one.
+    ``context`` prices the round and then forgets every matched vehicle.
     """
     t0 = time.perf_counter()
-    graph = build_bipartite(net, t, remaining, vehicles)
+    graph = build_bipartite(net, t, remaining, vehicles, context)
     outcome.cost_calculation_s += time.perf_counter() - t0
     outcome.iterations += 1
     if not graph.edges:
@@ -79,6 +81,7 @@ def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
         req.set_status(ASSIGNED)
         req.assign_t = t
         outcome.finalized.append(req.id)
+    context.forget(edge.vehicle_id for edge in matches)
     return graph
 
 
@@ -90,17 +93,26 @@ def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
     stage frees vehicles by combining compatible plans; freed vehicles can
     pick up more requests on the next pass.  Stops when every pending
     request is matched or no priced edge remains.
+
+    One ``PricingContext`` serves every pass of the update.  Only a
+    commit or a merge changes what pricing reads at one instant, and both
+    replace the vehicle's tour, so forgetting those vehicles keeps every
+    other vehicle's side and its infeasible verdicts exact for the next
+    pass.  The context is dropped when the update ends: ``advance`` moves
+    vehicles without replacing their tours.
     """
     outcome = UpdateOutcome()
     remaining = _begin_update(t, pending, outcome)
     feasible_index: dict[int, tuple[int, ...]] = {}
+    context = PricingContext(net)
     while remaining:
-        graph = _assignment_round(net, t, remaining, vehicles, outcome)
+        graph = _assignment_round(net, t, remaining, vehicles, outcome,
+                                  context)
         feasible_index.update(graph.feasible_sets)
         if not graph.edges:
             break
         stats = step2_loop(net, t, vehicles, set(outcome.finalized),
-                           feasible_index)
+                           feasible_index, context)
         outcome.step2_rounds += stats.rounds
         outcome.step2_merges += stats.merges
         outcome.step2_calls.append((stats.rounds, stats.initial_assigned))
@@ -117,7 +129,8 @@ def baseline_update(net: RoadNetwork, t: int, pending: Sequence[Request],
     outcome = UpdateOutcome()
     remaining = _begin_update(t, pending, outcome)
     if remaining:
-        _assignment_round(net, t, remaining, vehicles, outcome)
+        _assignment_round(net, t, remaining, vehicles, outcome,
+                          PricingContext(net))
     outcome.deferred = [r.id for r in remaining if r.status == PENDING]
     return outcome
 

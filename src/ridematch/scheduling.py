@@ -13,10 +13,14 @@ enumeration order.  The search reads each stop as a leg: the travel
 times into its node, the node, its deadline and its load change.  An
 insertion search joins two sides: the vehicle's (its tour's units, their
 legs and the precedence list) and the request's (its pickup/dropoff
-pair and their legs).  ``build_bipartite`` shares one
-``PricingContext`` across its round, which builds each side the first
-time a ``path_cost`` call needs it.  An empty tour has one plan, the
-pair, which ``path_cost`` prices in closed form at the search's cost.
+pair and their legs).  A ``PricingContext`` builds each side the first
+time a ``path_cost`` call needs it and keeps a verdict for every pair it
+found infeasible, which answers that pair again at once.
+``gmomatch_update`` keeps one context for one update, across all its
+assignment rounds, and forgets each vehicle whose tour a commit or a
+merge replaces: at one update instant nothing else changes what pricing
+reads.  An empty tour has one plan, the pair, which ``path_cost`` prices
+in closed form at the search's cost.
 
 Legs are shortest paths, so no tour reaches a stop sooner than straight
 from where the vehicle is.  That gives two exact cuts.  Before any leg is
@@ -34,7 +38,7 @@ and the first optimum in enumeration order still wins.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import DROPOFF, PICKUP, Request, Stop, Tour, Vehicle
 from .network import RoadNetwork
@@ -111,18 +115,30 @@ class _RequestSide(NamedTuple):
 
 
 class PricingContext:
-    """Both sides of the insertion searches of one assignment round, each
-    built the first time a ``path_cost`` call needs it.
+    """What the insertion searches of one update instant share: both
+    sides of the search, each built the first time a ``path_cost`` call
+    needs it, and the verdicts of the pairs found infeasible.
 
-    Sides are keyed by vehicle and request id, so a context is only valid
-    on one network while no tour changes: ``build_bipartite`` makes one
-    per call and drops it when the call ends.
+    Everything is keyed by vehicle and request id, so a context is valid
+    on one network at one update instant, and only for a vehicle whose
+    tour has not changed since it was first priced.  Whoever changes a
+    tour calls ``forget`` with its vehicle: ``gmomatch_update`` keeps one
+    context for all its rounds and forgets each vehicle a round commits
+    to or a merge changes, then drops the context when the update ends.
     """
 
     def __init__(self, net: RoadNetwork):
         self.net = net
         self._vehicles: dict[int, _VehicleSide] = {}
         self._requests: dict[int, _RequestSide] = {}
+        # vehicle id -> ids of the requests it cannot serve
+        self.infeasible: dict[int, set[int]] = {}
+
+    def forget(self, vehicle_ids: Iterable[int]) -> None:
+        """Drop the side and the verdicts of vehicles whose tour changed."""
+        for vid in vehicle_ids:
+            self._vehicles.pop(vid, None)
+            self.infeasible.pop(vid, None)
 
     def vehicle_side(self, vehicle: Vehicle) -> _VehicleSide:
         side = self._vehicles.get(vehicle.id)
@@ -170,8 +186,22 @@ def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
     slot, dropoff slot) order.  Ties keep the first candidate.  An empty
     tour has one plan, the pair, priced in closed form.  ``context``
     shares the vehicle's and the request's sides of the search across
-    one round's calls; the result is the same without it.
+    the calls of one update instant, and answers a pair it has already
+    found infeasible at once; the result is the same without it.
     """
+    if context is None:
+        context = PricingContext(net)
+    elif request.id in context.infeasible.get(vehicle.id, ()):
+        return INFEASIBLE
+    plan = _priced(net, t, vehicle, request, context)
+    if not plan.feasible:
+        context.infeasible.setdefault(vehicle.id, set()).add(request.id)
+    return plan
+
+
+def _priced(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
+            context: PricingContext) -> PlanResult:
+    """``path_cost`` without the verdicts."""
     if vehicle.available_capacity < 1:
         return INFEASIBLE
     # no tour reaches the pickup sooner than straight from the departure
@@ -179,8 +209,6 @@ def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
     depart = max(t, vehicle.ready_at)
     if approach is None or depart + approach > request.q_r:
         return INFEASIBLE
-    if context is None:
-        context = PricingContext(net)
     pair, pair_units, pair_legs, to_destination = \
         context.request_side(request)
     if not vehicle.tour:

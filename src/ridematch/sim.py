@@ -98,6 +98,9 @@ class ScenarioConfig:
         return ScenarioConfig.from_dict(doc)
 
     def _check(self) -> None:
+        if self.fleet_size > MAX_FLEET_SIZE:
+            raise ConfigError(f"fleet_size must be at most {MAX_FLEET_SIZE}, "
+                              f"got {self.fleet_size}")
         if not isinstance(self.network, dict):
             raise ConfigError("network must be an object")
         kind = _choice(self.network.get("kind"), "network.kind",
@@ -109,8 +112,12 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown network fields: {sorted(extra)}")
             if not ("rows" in self.network and "cols" in self.network):
                 raise ConfigError("grid network needs 'rows' and 'cols'")
-            check_number(self.network["rows"], "network.rows", 1)
-            check_number(self.network["cols"], "network.cols", 1)
+            rows = check_number(self.network["rows"], "network.rows", 1)
+            cols = check_number(self.network["cols"], "network.cols", 1)
+            if rows * cols > MAX_GRID_NODES:
+                raise ConfigError(f"a {rows} x {cols} grid has more than "
+                                  f"the {MAX_GRID_NODES} nodes a network "
+                                  f"may have")
             check_number(self.network.get("link_length_m", 400.0),
                          "network.link_length_m", 0, integer=False)
             check_number(self.network.get("link_travel_time_s", 40),
@@ -415,6 +422,10 @@ MAX_UPDATES = 1_000_000
 # the largest mean request count random demand may have, so that a draw
 # cannot build more requests than memory holds
 MAX_REQUESTS = 1_000_000
+# the most vehicles and grid nodes a config may ask for, checked before
+# either is built: a vehicle takes about 0.4 KB, a grid node about 2.3 KB
+MAX_FLEET_SIZE = 100_000
+MAX_GRID_NODES = 250_000
 
 
 def check_demand_bounds(config: ScenarioConfig, net: RoadNetwork,

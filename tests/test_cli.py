@@ -14,7 +14,7 @@ from ridematch.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def write_config(path, **overrides):
+def config_doc(**overrides):
     doc = {
         "network": {"kind": "grid", "rows": 3, "cols": 3},
         "demand": {"kind": "uniform", "requests_per_hour": 120},
@@ -26,6 +26,11 @@ def write_config(path, **overrides):
         "seed": 1,
     }
     doc.update(overrides)
+    return doc
+
+
+def write_config(path, **overrides):
+    doc = config_doc(**overrides)
     path.write_text(json.dumps(doc))
     return doc
 
@@ -394,6 +399,12 @@ def slow_pair(there, back):
                        "travel_time_s": t} for a, b, t in times]}
 
 
+# one vehicle, or one grid node, more than a config may ask for
+TOO_MANY_VEHICLES = {"fleet_size": sim.MAX_FLEET_SIZE + 1}
+TOO_MANY_ROWS = {"network": dict(GRID, rows=sim.MAX_GRID_NODES + 1, cols=1)}
+TOO_MANY_COLS = {"network": dict(GRID, rows=1, cols=sim.MAX_GRID_NODES + 1)}
+
+
 @pytest.mark.parametrize("command,overrides,files", [
     ("validate", {"demand": {"kind": "poisson", "od_rates": [
         {"origin": 0, "destination": 8, "rate_per_hour": "240"}]}}, {}),
@@ -464,6 +475,11 @@ def slow_pair(there, back):
     ("validate", LONG_ROUTES[0], {"net.json": two_nodes(4 * 10**7)}),
     ("run", LONG_ROUTES[1], {"net.json": two_nodes(4 * 10**7)}),
     ("validate", LONG_ROUTES[1], {"net.json": two_nodes(4 * 10**7)}),
+    *[(command, bound, {}) for command in ("validate", "run")
+      for bound in (TOO_MANY_VEHICLES, TOO_MANY_ROWS, TOO_MANY_COLS)],
+    ("sweep", {"axes": {"fleet_size": [sim.MAX_FLEET_SIZE + 1]}}, {}),
+    ("sweep", {"base": config_doc(**TOO_MANY_ROWS)}, {}),
+    ("sweep", {"base": config_doc(**TOO_MANY_COLS)}, {}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
@@ -480,9 +496,28 @@ def slow_pair(there, back):
         "uniform-route-beyond-update-cap",
         "validate-uniform-route-beyond-update-cap",
         "poisson-route-beyond-update-cap",
-        "validate-poisson-route-beyond-update-cap"])
+        "validate-poisson-route-beyond-update-cap",
+        "validate-fleet-beyond-cap", "validate-grid-rows-beyond-cap",
+        "validate-grid-cols-beyond-cap", "fleet-beyond-cap",
+        "grid-rows-beyond-cap", "grid-cols-beyond-cap",
+        "sweep-fleet-beyond-cap", "sweep-grid-rows-beyond-cap",
+        "sweep-grid-cols-beyond-cap"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
+    # no case may get as far as building a fleet or a grid past its cap
+    real_grid, real_fleet = sim.grid_network, sim.initialize_fleet
+
+    def grid(rows, cols, *args):
+        assert rows * cols <= sim.MAX_GRID_NODES, "grid built past its cap"
+        return real_grid(rows, cols, *args)
+
+    def fleet(config, *args):
+        assert config.fleet_size <= sim.MAX_FLEET_SIZE, \
+            "fleet built past its cap"
+        return real_fleet(config, *args)
+
+    monkeypatch.setattr(sim, "grid_network", grid)
+    monkeypatch.setattr(sim, "initialize_fleet", fleet)
     monkeypatch.chdir(tmp_path)
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))

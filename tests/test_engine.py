@@ -1,7 +1,9 @@
 import random
 
+from ridematch import assignment, engine
 from ridematch.engine import baseline_update, gmomatch_update
 from ridematch.model import ASSIGNED, DROPOFF, EXPIRED, PENDING, PICKUP
+from ridematch.sim import commuter_config, run_scenario
 from ridematch.vehicle_graph import donor_eligible
 
 from conftest import make_request, make_vehicle, pickups
@@ -135,3 +137,33 @@ class TestIterationBound:
             assert out.iterations <= n_req + 1
             assert len(out.finalized) + len(out.deferred) \
                 + len(out.expired) == n_req
+
+
+class TestSharedPricingContext:
+    def test_later_rounds_reuse_verdicts(self, monkeypatch):
+        # every round of an update prices through one context, so a later
+        # round answers a pair an earlier one found infeasible from its
+        # verdict; the trip log is the one a fresh context per round gives
+        config = commuter_config(loading_period_s=300)
+        reused = []
+        real_path_cost = assignment.path_cost
+
+        def spy(net, t, veh, req, context):
+            reused.append(req.id in context.infeasible.get(veh.id, ()))
+            return real_path_cost(net, t, veh, req, context)
+
+        monkeypatch.setattr(assignment, "path_cost", spy)
+        shared = run_scenario(config)
+        assert max(u["iterations"] for u in shared.update_records) >= 2
+        assert any(reused)
+        calls = len(reused)
+
+        real_build = engine.build_bipartite
+        monkeypatch.setattr(engine, "build_bipartite",
+                            lambda net, t, requests, vehicles, context:
+                            real_build(net, t, requests, vehicles))
+        reused.clear()
+        fresh = run_scenario(config)
+        assert not any(reused)
+        assert len(reused) == calls  # the same pairs were priced
+        assert fresh.trip_records == shared.trip_records

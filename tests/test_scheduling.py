@@ -340,36 +340,68 @@ class TestPricingBounds:
         assert 4 not in recording.read_at
 
     def test_shared_context_changes_nothing(self, grid3, skew3):
-        # one context per round, as build_bipartite keeps it: every
-        # vehicle shape priced against a dozen requests, in the round's
-        # order, prices exactly as it does alone
+        # one context per update instant, as gmomatch_update keeps it
+        # across its rounds: every vehicle shape priced against a dozen
+        # requests, round after round, prices exactly as it does alone.
+        # Between rounds, tours change the way a commit changes them (a
+        # priced plan, departure pinned to t) and the way a merge does
+        # (donor emptied, recipient given the merged tour), and just
+        # those vehicles are forgotten; the others keep their sides and
+        # their infeasible verdicts
         rng = random.Random(91)
-        shapes = {"idle": 0, "exhaustive": 2, "insertion": 3, "full": 2}
+        shapes = {"idle": 0, "exhaustive": 2, "insertion": 3, "full": 2,
+                  "recipient": 1}
+        # after each round but the last: (commit to, donor, recipient)
+        between = [("idle", "exhaustive", "recipient"),
+                   ("exhaustive", "idle", "insertion")]
+        reused = dict.fromkeys(shapes, 0)
         for net in (grid3, skew3):
-            vehicles = {"idle": make_vehicle(0, rng.choice(net.nodes),
-                                             ready_at=rng.randrange(0, 90))}
-            for vid, shape in enumerate(("exhaustive", "insertion",
-                                         "full"), start=1):
-                vehicles[shape], _ = vehicle_with_plan(
-                    rng, net, shapes[shape], t=0,
-                    capacity=shapes[shape] if shape == "full" else 6,
-                    vid=vid, base_rid=100 * vid, allow_onboard=False,
-                    max_tries=2000)
-            assert vehicles["full"].available_capacity == 0
-            assert vehicles["insertion"].occupants == 3
             requests = [random_request(rng, net, rid, t=0)
                         for rid in range(12)]
             for t in (0, 45):
+                vehicles = {"idle": make_vehicle(
+                    0, rng.choice(net.nodes), ready_at=rng.randrange(0, 90))}
+                for vid, shape in enumerate(shapes):
+                    if shape != "idle":
+                        vehicles[shape], _ = vehicle_with_plan(
+                            rng, net, shapes[shape], t=0,
+                            capacity=shapes[shape] if shape == "full" else 6,
+                            vid=vid, base_rid=100 * vid,
+                            allow_onboard=False, max_tries=2000)
+                assert vehicles["full"].available_capacity == 0
+                assert vehicles["insertion"].occupants == 3
                 context = PricingContext(net)
-                feasible = dict.fromkeys(shapes, 0)
-                for req in requests:
-                    for shape, veh in vehicles.items():
-                        plan = path_cost(net, t, veh, req)
-                        assert path_cost(net, t, veh, req, context) == plan
-                        feasible[shape] += plan.feasible
-                assert feasible["full"] == 0
-                assert all(feasible[s] for s in ("idle", "exhaustive",
-                                                 "insertion")), feasible
+                for rnd in range(len(between) + 1):
+                    plans = {shape: [] for shape in shapes}
+                    for req in requests:
+                        for shape, veh in vehicles.items():
+                            plan = path_cost(net, t, veh, req)
+                            reused[shape] += req.id in context.infeasible.get(
+                                veh.id, ())
+                            assert path_cost(net, t, veh, req, context) \
+                                == plan
+                            if plan.feasible:
+                                plans[shape].append(plan)
+                    if rnd == 0:
+                        assert not plans["full"]
+                        assert all(plans[s] for s in ("idle", "exhaustive",
+                                                      "insertion")), plans
+                    if rnd == len(between):
+                        break
+                    commit, donor, recipient = between[rnd]
+                    changed = []
+                    if plans[commit]:
+                        veh = vehicles[commit]
+                        veh.tour = plans[commit][0].tour
+                        veh.ready_at = max(veh.ready_at, t)
+                        changed.append(veh.id)
+                    if vehicles[donor].tour:
+                        d, r = vehicles[donor], vehicles[recipient]
+                        r.tour, d.tour = r.tour + d.tour, ()
+                        changed += [d.id, r.id]
+                    context.forget(changed)
+        # the untouched vehicles answered later rounds from verdicts
+        assert reused["full"] and reused["insertion"], reused
 
     def test_one_second_win_survives_the_cuts(self):
         # one-way links: 0->1 10 s, 0->2 19 s, 1->2 10 s, 2->1 5 s, 1->3

@@ -10,7 +10,8 @@ import pytest
 from ridematch.metrics import compute_metrics
 from ridematch.model import SERVED
 from ridematch.network import Link, RoadNetwork
-from ridematch.sim import (MAX_REQUESTS, MAX_UPDATES, ConfigError,
+from ridematch.sim import (MAX_FLEET_SIZE, MAX_GRID_NODES, MAX_REQUESTS,
+                           MAX_UPDATES, ConfigError,
                            ScenarioConfig, SimulationState, advance,
                            build_network, check_demand_bounds,
                            check_demand_reachability,
@@ -33,6 +34,10 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def grid_of(rows, cols):
+    return {"network": {"kind": "grid", "rows": rows, "cols": cols}}
 
 
 class TestConfig:
@@ -61,6 +66,18 @@ class TestConfig:
     def test_rejections(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig.from_dict(minimal_doc(**overrides))
+
+    @pytest.mark.parametrize("at_cap,beyond", [
+        ({"fleet_size": MAX_FLEET_SIZE}, {"fleet_size": MAX_FLEET_SIZE + 1}),
+        (grid_of(MAX_GRID_NODES, 1), grid_of(MAX_GRID_NODES + 1, 1)),
+        (grid_of(1, MAX_GRID_NODES), grid_of(1, MAX_GRID_NODES + 1)),
+        (grid_of(500, 500), grid_of(501, 500)),
+    ], ids=["fleet", "rows", "cols", "square"])
+    def test_fleet_and_grid_caps_are_inclusive(self, at_cap, beyond):
+        # validation builds neither, so a config at the cap costs nothing
+        ScenarioConfig.from_dict(minimal_doc(**at_cap))
+        with pytest.raises(ConfigError, match="at most|more than"):
+            ScenarioConfig.from_dict(minimal_doc(**beyond))
 
     def test_missing_field(self):
         doc = minimal_doc()

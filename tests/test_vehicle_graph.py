@@ -1,5 +1,6 @@
 import random
 
+from ridematch.scheduling import PricingContext, path_cost
 from ridematch.vehicle_graph import (MergeEdge, VehicleGraph, apply_merges,
                                      build_vehicle_graph, donor_eligible,
                                      select_merges, step2_loop)
@@ -180,7 +181,8 @@ class TestStep2Loop:
                                              dropoff(reqs[v])))
                     for v in range(4)]
         index = {r.id: (0, 1, 2, 3) for r in reqs}
-        stats = step2_loop(line_net, 0, vehicles, {0, 1, 2, 3}, index)
+        stats = step2_loop(line_net, 0, vehicles, {0, 1, 2, 3}, index,
+                           PricingContext(line_net))
         assert stats.merges == 3
         assert stats.rounds <= 4  # bounded by initial assigned count
         holders = [v for v in vehicles if v.tour]
@@ -188,9 +190,31 @@ class TestStep2Loop:
         assert pickups(holders[0].tour) == {0, 1, 2, 3}
         assert holders[0].occupants == 4
 
+    def test_merges_forget_their_vehicles(self, line_net):
+        # the colocated chain again, beside vehicle 4, which holds older
+        # work and so takes no part in the merge stage.  Every vehicle
+        # has a verdict for rider 9, who is too far to reach by q_r; each
+        # merge replaces the tours of its donor and recipient, so their
+        # verdicts go, and only vehicle 4 keeps its own
+        reqs = [make_request(i, 0, 0, 2, 600, line_net) for i in range(5)]
+        vehicles = [make_vehicle(v, 0, tour=(pickup(reqs[v]),
+                                             dropoff(reqs[v])))
+                    for v in range(5)]
+        far = make_request(9, 0, 4, 3, 60, line_net)
+        context = PricingContext(line_net)
+        for veh in vehicles:
+            assert not path_cost(line_net, 0, veh, far, context).feasible
+        assert sorted(context.infeasible) == [0, 1, 2, 3, 4]
+        index = {r.id: (0, 1, 2, 3) for r in reqs[:4]}
+        stats = step2_loop(line_net, 0, vehicles, {0, 1, 2, 3}, index,
+                           context)
+        assert stats.merges == 3
+        assert context.infeasible == {4: {9}}
+
     def test_no_edges_no_rounds(self, line_net):
         r1 = make_request(1, 0, 0, 2, 600, line_net)
         veh = make_vehicle(1, 0, tour=(pickup(r1), dropoff(r1)))
-        stats = step2_loop(line_net, 0, [veh], {1}, {1: (1,)})
+        stats = step2_loop(line_net, 0, [veh], {1}, {1: (1,)},
+                           PricingContext(line_net))
         assert stats.rounds == 0 and stats.merges == 0
         assert veh.tour
