@@ -48,8 +48,8 @@ def feasible_vehicles(net: RoadNetwork, request: Request,
     out = []
     to_origin = net.travel_times_to(request.origin)
     for v in vehicles:
-        # reach first: one dict read, and most vehicles fail it
-        approach = to_origin.get(v.location)
+        # reach first: one list read, and most vehicles fail it
+        approach = to_origin[v.location]
         if (approach is not None and approach <= request.f_r
                 and v.available_capacity >= 1):
             out.append(v)

@@ -216,6 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     base, axes, seeds, max_runs = _load_sweep_spec(args.config)
+    build_network(base)  # every run has this network: a bad one exits 2
     combos = _sweep_combos(base, axes, seeds)
     if len(combos) > max_runs:
         raise ConfigError(f"sweep would launch {len(combos)} runs, "

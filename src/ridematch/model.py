@@ -1,9 +1,11 @@
 """Core domain objects: trip requests, vehicles, stops, and tours.
 
-Times are integer seconds from simulation start.  A request's service
-window is fully determined by its announcement time, its direct travel
-time, and a flexibility budget: pickup must happen by ``q_r`` and dropoff
-by ``l_r``.
+Times are integer seconds from simulation start, and every node (a
+request's origin and destination, a stop's node, a vehicle's location)
+is a network position, not an id.  A request's service window is fully
+determined by its announcement time, its direct travel time, and a
+flexibility budget: pickup must happen by ``q_r`` and dropoff by
+``l_r``.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def derive_window(e_r: int, origin: int, destination: int,
         raise ValueError("flexibility must be non-negative")
     direct = net.shortest_travel_time(origin, destination)
     if direct is None:
-        raise ValueError(f"no route from {origin} to {destination}")
+        raise ValueError(f"no route from {net.nodes[origin]} to "
+                         f"{net.nodes[destination]}")
     return e_r + flexibility_s + direct, e_r + flexibility_s, direct
 
 

@@ -1,15 +1,24 @@
 """Road network representation and shortest-path routing.
 
-The network is a directed graph of integer node ids and links carrying a
-length in meters and a travel time in whole seconds.  Travel times are
-static for the lifetime of a network object.  Every query ends at a
-target, so the only routing state is one distance row per target, the
-travel times into it from every node, kept once computed; paths are
-walked hop by hop from their target's row and never stored.  A row is
-one ``scipy.sparse.csgraph.dijkstra`` run from the target over a CSR
-matrix of the reversed links.  It computes in float64, so the network
-rejects link times that sum to 2**53 or more: below that every path
-length is an exact integer.
+The network is a directed graph of nodes and links carrying a length in
+meters and a travel time in whole seconds.  Nodes are labelled by
+integer ids, but the network and everything that routes on it number
+them densely: position ``i`` is the ``i``-th smallest id, ``nodes[i]``,
+and ``position`` maps an id back.  Links, routing rows and every node a
+query takes or returns are positions.  Ids are translated once each way,
+where they enter (the network, request and demand inputs) and where they
+leave (the trip log and error messages).  Positions are ranks of sorted
+ids, so every smallest-id tie-break is a smallest-position one.
+
+Travel times are static for the lifetime of a network object.  Every
+query ends at a target, so the only routing state is one distance row
+per target, kept once computed: a list indexed by position holding the
+travel time into the target as an ``int``, or None where the target
+cannot be reached.  Paths are walked hop by hop from their target's row
+and never stored.  A row is one ``scipy.sparse.csgraph.dijkstra`` run
+from the target over a CSR matrix of the reversed links.  It computes in
+float64, so the network rejects link times that sum to 2**53 or more:
+below that every path length is an exact integer.
 """
 
 from __future__ import annotations
@@ -29,11 +38,19 @@ class NetworkFormatError(ValueError):
 
 
 class Link(NamedTuple):
+    """A directed link; ``src`` and ``dst`` are node ids where a network
+    is given its links and positions in ``RoadNetwork.links``."""
+
     src: int
     dst: int
     length_m: float
     travel_time_s: int
 
+
+# the most nodes a network file or grid config may have, checked before the
+# network is built: a node takes about 2.3 KB, and each routing row one
+# list slot per node
+MAX_NODES = 250_000
 
 _NODE_FIELDS = {"id"}
 _LINK_FIELDS = {"from", "to", "length_m", "travel_time_s"}
@@ -42,29 +59,34 @@ _LINK_FIELDS = {"from", "to", "length_m", "travel_time_s"}
 class RoadNetwork:
     """Directed road graph with time-shortest routing.
 
-    Read-only after construction: queries may run concurrently, mutation is
-    not supported.  The routing state is ``_dist_to`` only: one distance
-    row into each target queried so far, computed by scipy's compiled
+    Built from node ids and links between ids; ``nodes`` keeps the ids in
+    position order, ``position`` maps an id to its position, and
+    ``links`` and every query speak positions.  Read-only after
+    construction: queries may run concurrently, mutation is not
+    supported.  The routing state is ``_dist_to`` only: one distance row
+    into each target queried so far, computed by scipy's compiled
     Dijkstra over ``_reverse``, the reversed links as a CSR matrix whose
-    row ``i`` holds the in-links of ``nodes[i]``.  The total link time is
-    below 2**53, so the float64 distances are exact integers.  The next
-    hop towards ``dst`` is the smallest-id neighbour ``n`` with
-    ``link time + dist_to[dst][n] == dist_to[dst][here]``, so identical
-    queries always return identical paths.
+    row ``i`` holds the in-links of position ``i``.  The total link time
+    is below 2**53, so the float64 distances are exact integers.  The
+    next hop towards ``dst`` is the smallest-position neighbour ``n``
+    with ``link time + dist_to[dst][n] == dist_to[dst][here]``, so
+    identical queries always return identical paths.
     """
 
     def __init__(self, nodes: Iterable[int], links: Iterable[Link]):
         self.nodes: tuple[int, ...] = tuple(sorted(set(nodes)))
-        self.links: tuple[Link, ...] = tuple(links)
-        self._pos: dict[int, int] = {n: i for i, n in enumerate(self.nodes)}
-        self._out: dict[int, list[Link]] = {n: [] for n in self.nodes}
+        self.position: dict[int, int] = {
+            n: i for i, n in enumerate(self.nodes)}
+        self._out: list[list[Link]] = [[] for _ in self.nodes]
         self._link_by_pair: dict[tuple[int, int], Link] = {}
         total_time = 0
-        for link in self.links:
-            if link.src not in self._pos or link.dst not in self._pos:
+        for link in links:
+            src = self.position.get(link.src)
+            dst = self.position.get(link.dst)
+            if src is None or dst is None:
                 raise NetworkFormatError(
                     f"link {link.src}->{link.dst} references an unknown node")
-            if link.src == link.dst:
+            if src == dst:
                 raise NetworkFormatError(f"self-loop link at node {link.src}")
             if link.travel_time_s <= 0:
                 raise NetworkFormatError(
@@ -72,28 +94,31 @@ class RoadNetwork:
             if not (link.length_m > 0 and math.isfinite(link.length_m)):
                 raise NetworkFormatError(
                     f"link {link.src}->{link.dst} has invalid length")
-            if (link.src, link.dst) in self._link_by_pair:
+            if (src, dst) in self._link_by_pair:
                 raise NetworkFormatError(
                     f"duplicate link {link.src}->{link.dst}")
-            self._link_by_pair[(link.src, link.dst)] = link
-            self._out[link.src].append(link)
+            if (src, dst) != (link.src, link.dst):  # ids are not positions
+                link = Link(src, dst, link.length_m, link.travel_time_s)
+            self._link_by_pair[(src, dst)] = link
+            self._out[src].append(link)
             total_time += link.travel_time_s
         if total_time >= 2**53:
             raise NetworkFormatError(
                 "link travel times sum to 2**53 s or more: path lengths "
                 "would not be exact")
-        for n in self.nodes:
-            self._out[n].sort(key=lambda l: l.dst)
+        self.links: tuple[Link, ...] = tuple(self._link_by_pair.values())
+        for out in self._out:
+            out.sort(key=lambda l: l.dst)
         self._reverse = self._reverse_csr()
-        # lazy distance rows, keyed by target
-        self._dist_to: dict[int, dict[int, int]] = {}
+        # lazy distance rows, keyed by target position
+        self._dist_to: dict[int, list[int | None]] = {}
 
     def _reverse_csr(self) -> csr_matrix:
-        """The links as a CSR matrix over node positions whose row ``i``
-        holds the in-links of ``nodes[i]``: source positions and times."""
-        n, pos, links = len(self.nodes), self._pos, self.links
-        dst = np.fromiter((pos[l.dst] for l in links), np.int32, len(links))
-        src = np.fromiter((pos[l.src] for l in links), np.int32, len(links))
+        """The links as a CSR matrix whose row ``i`` holds the in-links of
+        position ``i``: source positions and times."""
+        n, links = len(self.nodes), self.links
+        dst = np.fromiter((l.dst for l in links), np.int32, len(links))
+        src = np.fromiter((l.src for l in links), np.int32, len(links))
         time = np.fromiter((l.travel_time_s for l in links), np.float64,
                            len(links))
         order = np.argsort(dst, kind="stable")
@@ -101,27 +126,23 @@ class RoadNetwork:
         np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
         return csr_matrix((time[order], src[order], indptr), shape=(n, n))
 
-    def __contains__(self, node: int) -> bool:
-        return node in self._pos
-
     def link(self, src: int, dst: int) -> Link:
         return self._link_by_pair[(src, dst)]
 
     def _require(self, node: int) -> None:
-        if node not in self._pos:
-            raise KeyError(f"unknown node id {node}")
+        if not 0 <= node < len(self.nodes):
+            raise KeyError(f"no node at position {node}")
 
-    def _dijkstra(self, target: int) -> dict[int, int]:
-        row = dijkstra(self._reverse, indices=self._pos[target])
+    def _dijkstra(self, target: int) -> list[int | None]:
+        row = dijkstra(self._reverse, indices=target)
         unreached = np.flatnonzero(np.isinf(row)).tolist()
         row[unreached] = 0
-        # keys are the network's own node ints, shared by every row
-        dist = dict(zip(self.nodes, row.astype(np.int64).tolist()))
+        dist: list[int | None] = row.astype(np.int64).tolist()
         for i in unreached:
-            del dist[self.nodes[i]]
+            dist[i] = None
         return dist
 
-    def _distances_to(self, target: int) -> dict[int, int]:
+    def _distances_to(self, target: int) -> list[int | None]:
         cached = self._dist_to.get(target)
         if cached is None:
             cached = self._dist_to[target] = self._dijkstra(target)
@@ -135,16 +156,17 @@ class RoadNetwork:
         """
         self._require(src)
         self._require(dst)
-        return self._distances_to(dst).get(src)
+        return self._distances_to(dst)[src]
 
-    def travel_times_to(self, dst: int) -> dict[int, int]:
-        """Travel times to ``dst`` from every node that reaches it; the
-        mapping is the routing cache itself, so do not modify it."""
+    def travel_times_to(self, dst: int) -> list[int | None]:
+        """Travel times to ``dst`` from every position, None where there
+        is no route; the list is the routing cache itself, so do not
+        modify it."""
         self._require(dst)
         return self._distances_to(dst)
 
     def reachable_from(self, src: int) -> set[int]:
-        """Every node some directed path from ``src`` reaches, ``src``
+        """Every position some directed path from ``src`` reaches, ``src``
         included; a walk over the out-links that keeps no state."""
         self._require(src)
         seen = {src}
@@ -158,24 +180,24 @@ class RoadNetwork:
 
     def next_link(self, src: int, dst: int) -> Link | None:
         """First link of a time-shortest path from ``src`` to ``dst``, to the
-        smallest node id among equal-cost choices; None when ``src == dst``
-        or ``dst`` is unreachable."""
+        smallest position among equal-cost choices; None when ``src ==
+        dst`` or ``dst`` is unreachable."""
         self._require(src)
         self._require(dst)
         dist_to = self._distances_to(dst)
-        remain = dist_to.get(src)
+        remain = dist_to[src]
         if remain is None or src == dst:
             return None
         for link in self._out[src]:  # sorted by dst: first hit wins
-            if dist_to.get(link.dst) == remain - link.travel_time_s:
+            if dist_to[link.dst] == remain - link.travel_time_s:
                 return link
         raise RuntimeError("inconsistent distance tables")
 
     def shortest_path(self, src: int, dst: int) -> tuple[int, ...] | None:
-        """Node sequence of a time-shortest path, or None if unreachable.
+        """Positions along a time-shortest path, or None if unreachable.
 
         The path follows ``next_link``: among equal-cost paths, the one
-        whose next node id is smallest at every step.
+        whose next position is smallest at every step.
         """
         path = [src]
         link = self.next_link(src, dst)
@@ -234,6 +256,10 @@ def load_network(source: str | Path | dict) -> RoadNetwork:
         raise NetworkFormatError("network document needs 'nodes' and 'links'")
     if not (isinstance(doc["nodes"], list) and isinstance(doc["links"], list)):
         raise NetworkFormatError("network 'nodes' and 'links' must be lists")
+    if len(doc["nodes"]) > MAX_NODES:
+        raise NetworkFormatError(f"network has {len(doc['nodes'])} nodes, "
+                                 f"more than the {MAX_NODES} a network "
+                                 f"may have")
 
     nodes: list[int] = []
     seen: set[int] = set()
@@ -267,8 +293,9 @@ def grid_network(rows: int, cols: int, link_length_m: float = 400.0,
                  link_travel_time_s: int = 40) -> RoadNetwork:
     """Rectangular lattice with bidirectional links between neighbours.
 
-    Node ids are row-major (``r * cols + c``).  This is the bundled synthetic
-    network used by tests, demos, and demand presets.
+    Node ids are row-major (``r * cols + c``), so each id is its own
+    position.  This is the bundled synthetic network used by tests,
+    demos, and demand presets.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one row and column")

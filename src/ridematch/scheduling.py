@@ -38,7 +38,7 @@ and the first optimum in enumeration order still wins.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import DROPOFF, PICKUP, Request, Stop, Tour, Vehicle
 from .network import RoadNetwork
@@ -79,9 +79,9 @@ def evaluate_tour(net: RoadNetwork, t: int, start_node: int, depart_t: int,
     return clock - t, tuple(arrivals)
 
 
-# the search's view of one stop: (travel times into its node, node,
-# deadline, load change); PICKUP is +1, DROPOFF -1
-Leg = tuple[Mapping[int, int], int, int, int]
+# the search's view of one stop: (its node's routing row, node, deadline,
+# load change); PICKUP is +1, DROPOFF -1
+Leg = tuple[Sequence[int | None], int, int, int]
 
 
 def tour_legs(net: RoadNetwork, stops: Sequence[Stop]) -> list[Leg]:
@@ -111,7 +111,7 @@ class _RequestSide(NamedTuple):
     pair: Tour
     units: tuple[Tour, ...]
     legs: tuple[tuple[Leg, ...], ...]
-    to_destination: Mapping[int, int]
+    to_destination: Sequence[int | None]
 
 
 class PricingContext:
@@ -205,7 +205,7 @@ def _priced(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
     if vehicle.available_capacity < 1:
         return INFEASIBLE
     # no tour reaches the pickup sooner than straight from the departure
-    approach = net.travel_times_to(request.origin).get(vehicle.location)
+    approach = net.travel_times_to(request.origin)[vehicle.location]
     depart = max(t, vehicle.ready_at)
     if approach is None or depart + approach > request.q_r:
         return INFEASIBLE
@@ -213,7 +213,7 @@ def _priced(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
         context.request_side(request)
     if not vehicle.tour:
         # nothing is aboard, so the seat test covers the load
-        direct = to_destination.get(request.origin)
+        direct = to_destination[request.origin]
         if direct is None or depart + approach + direct > request.l_r:
             return INFEASIBLE
         return PlanResult(True, depart + approach + direct - t, pair)
@@ -280,7 +280,7 @@ def _cheapest(t: int, vehicle: Vehicle, units: Sequence[Tour],
             if not placed[k] and (after[k] < 0 or placed[after[k]]):
                 at, c, ld = node, clock, load
                 for row, stop_node, deadline, delta in legs[k]:
-                    leg = row.get(at)
+                    leg = row[at]
                     if leg is None:
                         break
                     c += leg
@@ -320,7 +320,7 @@ def _hopeless(legs: Sequence[Sequence[Leg]], placed: Sequence[bool],
     for k, unit in enumerate(legs):
         if not placed[k]:
             for row, _, deadline, _ in unit:
-                a = row.get(node)
+                a = row[node]
                 if a is None or clock + a > deadline or clock + a >= limit:
                     return True
     return False

@@ -22,8 +22,8 @@ import numpy as np
 from .engine import MATCHERS, UpdateOutcome
 from .model import (ONBOARD, PENDING, SERVED, PICKUP, Request, Vehicle,
                     make_request)
-from .network import (NetworkFormatError, RoadNetwork, grid_network,
-                      load_network, read_json)
+from .network import (MAX_NODES, NetworkFormatError, RoadNetwork,
+                      grid_network, load_network, read_json)
 
 
 class ConfigError(ValueError):
@@ -114,9 +114,9 @@ class ScenarioConfig:
                 raise ConfigError("grid network needs 'rows' and 'cols'")
             rows = check_number(self.network["rows"], "network.rows", 1)
             cols = check_number(self.network["cols"], "network.cols", 1)
-            if rows * cols > MAX_GRID_NODES:
+            if rows * cols > MAX_NODES:
                 raise ConfigError(f"a {rows} x {cols} grid has more than "
-                                  f"the {MAX_GRID_NODES} nodes a network "
+                                  f"the {MAX_NODES} nodes a network "
                                   f"may have")
             check_number(self.network.get("link_length_m", 400.0),
                          "network.link_length_m", 0, integer=False)
@@ -211,19 +211,20 @@ def check_demand_reachability(config: ScenarioConfig,
     if config.demand["kind"] == "uniform":
         if len(net.nodes) < 2:
             raise ConfigError("uniform demand needs at least 2 network nodes")
-        hub = net.nodes[0]
-        into, out_of = net.travel_times_to(hub), net.reachable_from(hub)
-        for n in net.nodes:
-            if n not in into or n not in out_of:
-                o, d = (n, hub) if n not in into else (hub, n)
+        into, out_of = net.travel_times_to(0), net.reachable_from(0)
+        for n in range(len(net.nodes)):
+            if into[n] is None or n not in out_of:
+                o, d = (n, 0) if into[n] is None else (0, n)
                 raise ConfigError(f"uniform demand needs a strongly connected "
-                                  f"network: no route from {o} to {d}")
+                                  f"network: no route from {net.nodes[o]} "
+                                  f"to {net.nodes[d]}")
     if config.demand["kind"] == "poisson":
         for rec in config.demand["od_rates"]:
             o, d = rec["origin"], rec["destination"]
-            if o not in net or d not in net:
+            if o not in net.position or d not in net.position:
                 raise ConfigError(f"demand references unknown node: {o}->{d}")
-            if net.shortest_travel_time(o, d) is None:
+            if net.shortest_travel_time(net.position[o],
+                                        net.position[d]) is None:
                 raise ConfigError(f"demand OD pair {o}->{d} is unreachable")
 
 
@@ -233,8 +234,9 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
 
     Poisson demand: per-OD counts are Poisson with mean rate × period,
     arrival instants uniform over the period.  Uniform demand spreads one
-    total rate over all ordered node pairs.  File demand is read verbatim.
-    Requests come back sorted by announcement time with sequential ids.
+    total rate over all ordered node pairs, drawn as positions.  File
+    demand is read verbatim.  Requests come back sorted by announcement
+    time with sequential ids, their origins and destinations positions.
     """
     kind = config.demand["kind"]
     if kind == "file":
@@ -245,26 +247,29 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
     if kind == "poisson":
         for rec, lam in zip(config.demand["od_rates"],
                             _poisson_means(config)):
+            o = net.position[rec["origin"]]
+            d = net.position[rec["destination"]]
             for _ in range(_poisson_count(rng, lam)):
-                events.append((int(rng.integers(0, max(T, 1))),
-                               rec["origin"], rec["destination"]))
+                events.append((int(rng.integers(0, max(T, 1))), o, d))
     else:
         [lam] = _poisson_means(config)
-        nodes = net.nodes
+        n = len(net.nodes)
         for _ in range(_poisson_count(rng, lam)):
             t = int(rng.integers(0, max(T, 1)))
-            o = int(nodes[rng.integers(0, len(nodes))])
-            d = int(nodes[rng.integers(0, len(nodes))])
+            o = int(rng.integers(0, n))
+            d = int(rng.integers(0, n))
             while d == o:
-                d = int(nodes[rng.integers(0, len(nodes))])
+                d = int(rng.integers(0, n))
             events.append((t, o, d))
+    # positions rank like ids, so same-instant events keep their id order
     events.sort()
     out = []
     for rid, (t, o, d) in enumerate(events):
         try:
             out.append(make_request(rid, t, o, d, config.flexibility_s, net))
         except ValueError as exc:  # uniform demand drew a pair with no route
-            raise ConfigError(f"demand OD pair {o}->{d}: {exc}") from exc
+            raise ConfigError(f"demand OD pair {net.nodes[o]}->"
+                              f"{net.nodes[d]}: {exc}") from exc
     return out
 
 
@@ -289,7 +294,8 @@ def load_requests(path: Path, config: ScenarioConfig,
 
     Shape: ``{"requests": [{"t_r": s, "origin": n, "destination": n,
     "flexibility_s": s?}, ...]}`` where flexibility defaults to the
-    scenario value.  Ids follow announcement order.
+    scenario value and nodes are ids, which the requests hold as
+    positions.  Request ids follow announcement order.
     """
     doc = read_json(path, ConfigError, "request file")
     if not isinstance(doc, dict) or set(doc) != {"requests"} \
@@ -298,32 +304,33 @@ def load_requests(path: Path, config: ScenarioConfig,
     rows = []
     required = {"t_r", "origin", "destination"}
     allowed = required | {"flexibility_s"}
-    nodes = set(net.nodes)
+    position = net.position
     for rec in doc["requests"]:
         if not isinstance(rec, dict) or not rec.keys() <= allowed:
             raise ConfigError(f"bad request record: {rec!r}")
         if not required <= rec.keys():
             raise ConfigError(f"request record missing "
                               f"{sorted(required - rec.keys())}: {rec!r}")
-        check_number(rec["t_r"], "request t_r", 0)
+        t_r = check_number(rec["t_r"], "request t_r", 0)
         origin, destination = rec["origin"], rec["destination"]
         # type() rather than isinstance(): a bool is not a node id
-        if not (type(origin) is int and type(destination) is int
-                and origin in nodes and destination in nodes):
+        o = position.get(origin) if type(origin) is int else None
+        d = position.get(destination) if type(destination) is int else None
+        if o is None or d is None:
             raise ConfigError(f"request origin and destination must be "
                               f"nodes of the network: {rec!r}")
-        if origin == destination:
+        if o == d:
             raise ConfigError("request origin must differ from destination")
+        flex = config.flexibility_s
         if "flexibility_s" in rec:
-            check_number(rec["flexibility_s"], "request flexibility_s", 0)
-        rows.append(rec)
-    rows.sort(key=lambda r: r["t_r"])
+            flex = check_number(rec["flexibility_s"],
+                                "request flexibility_s", 0)
+        rows.append((t_r, o, d, flex, rec))
+    rows.sort(key=lambda row: row[0])
     out = []
-    for rid, rec in enumerate(rows):
-        flex = rec.get("flexibility_s", config.flexibility_s)
+    for rid, (t_r, o, d, flex, rec) in enumerate(rows):
         try:
-            out.append(make_request(rid, rec["t_r"], rec["origin"],
-                                    rec["destination"], flex, net))
+            out.append(make_request(rid, t_r, o, d, flex, net))
         except ValueError as exc:  # no route from origin to destination
             raise ConfigError(f"bad request record {rec!r}: {exc}") from exc
     return out
@@ -336,14 +343,12 @@ def initialize_fleet(config: ScenarioConfig, demand: Sequence[Request],
 
     With zero demand the draw falls back to uniform over all nodes.
     """
-    nodes = np.array(net.nodes)
-    weights = np.zeros(len(nodes), dtype=float)
-    index = {n: i for i, n in enumerate(net.nodes)}
+    weights = np.zeros(len(net.nodes), dtype=float)
     for req in demand:
-        weights[index[req.origin]] += 1
+        weights[req.origin] += 1
     if weights.sum() == 0:
         weights[:] = 1.0
-    starts = rng.choice(nodes, size=config.fleet_size,
+    starts = rng.choice(len(net.nodes), size=config.fleet_size,
                         p=weights / weights.sum())
     return [Vehicle(id=i, capacity=config.capacity, location=int(starts[i]))
             for i in range(config.fleet_size)]
@@ -422,10 +427,9 @@ MAX_UPDATES = 1_000_000
 # the largest mean request count random demand may have, so that a draw
 # cannot build more requests than memory holds
 MAX_REQUESTS = 1_000_000
-# the most vehicles and grid nodes a config may ask for, checked before
-# either is built: a vehicle takes about 0.4 KB, a grid node about 2.3 KB
+# the most vehicles a config may ask for, checked before the fleet is
+# built: a vehicle takes about 0.4 KB (network.MAX_NODES caps the nodes)
 MAX_FLEET_SIZE = 100_000
-MAX_GRID_NODES = 250_000
 
 
 def check_demand_bounds(config: ScenarioConfig, net: RoadNetwork,
@@ -473,7 +477,9 @@ def _longest_route(config: ScenarioConfig, net: RoadNetwork,
     if config.demand["kind"] == "uniform":
         return (len(net.nodes) - 1) * max(
             (link.travel_time_s for link in net.links), default=0)
-    return max(net.shortest_travel_time(rec["origin"], rec["destination"])
+    position = net.position
+    return max(net.shortest_travel_time(position[rec["origin"]],
+                                        position[rec["destination"]])
                for rec, lam in zip(config.demand["od_rates"], means)
                if lam > 0)
 
@@ -533,14 +539,15 @@ TRIP_LOG_COLUMNS = ("request_id", "t_r", "O", "D", "q_r", "l_r",
 
 
 def build_trip_records(state: SimulationState) -> list[dict]:
-    """One record per generated request, in id order."""
+    """One record per generated request, in id order, naming nodes by id."""
+    nodes = state.net.nodes
     records = []
     for req in sorted(state.requests, key=lambda r: r.id):
         records.append({
             "request_id": req.id,
             "t_r": req.t_r,
-            "O": req.origin,
-            "D": req.destination,
+            "O": nodes[req.origin],
+            "D": nodes[req.destination],
             "q_r": req.q_r,
             "l_r": req.l_r,
             "vehicle_id": req.vehicle_id,

@@ -69,10 +69,6 @@ def pickups(tour):
     return {s.request_id for s in tour if s.kind == PICKUP}
 
 
-def random_net_nodes(net, rng, k):
-    return [net.nodes[rng.randrange(len(net.nodes))] for _ in range(k)]
-
-
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

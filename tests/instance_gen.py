@@ -26,7 +26,7 @@ def _make_request(net, rid, t_r, origin, destination, flexibility_s):
 
 def random_request(rng: random.Random, net, rid, t, max_back=90,
                    flex_range=(60, 420)):
-    origin, destination = rng.sample(net.nodes, 2)
+    origin, destination = rng.sample(range(len(net.nodes)), 2)
     announced = max(0, t - rng.randrange(0, max_back + 1))
     flex = rng.randrange(*flex_range)
     return _make_request(net, rid, announced, origin, destination, flex)
@@ -72,7 +72,7 @@ def vehicle_with_plan(rng: random.Random, net, n_requests, t=0, capacity=4,
             stops.append(Stop(DROPOFF, r.id, r.destination, r.l_r))
             per_request.append(stops)
         tour = _random_valid_order(rng, per_request)
-        location = rng.choice(net.nodes)
+        location = rng.choice(range(len(net.nodes)))
         ready_at = t + rng.randrange(0, 90)
         arrivals = plan_arrivals(times, location, max(t, ready_at), tour,
                                  len(onboard_ids), capacity,

@@ -61,13 +61,15 @@ _times_cache: dict[int, dict] = {}
 
 
 def travel_times(net):
-    """All-pairs travel-time table for a network, via Bellman-Ford."""
+    """All-pairs travel-time table for a network, via Bellman-Ford, keyed
+    by node positions like the network's links."""
     table = _times_cache.get(id(net))
     if table is None:
         links = [(l.src, l.dst, l.travel_time_s) for l in net.links]
+        nodes = range(len(net.nodes))
         table = {}
-        for src in net.nodes:
-            for dst, d in bellman_ford(net.nodes, links, src).items():
+        for src in nodes:
+            for dst, d in bellman_ford(nodes, links, src).items():
                 table[(src, dst)] = d
         _times_cache[id(net)] = table
     return table

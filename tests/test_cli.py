@@ -401,8 +401,14 @@ def slow_pair(there, back):
 
 # one vehicle, or one grid node, more than a config may ask for
 TOO_MANY_VEHICLES = {"fleet_size": sim.MAX_FLEET_SIZE + 1}
-TOO_MANY_ROWS = {"network": dict(GRID, rows=sim.MAX_GRID_NODES + 1, cols=1)}
-TOO_MANY_COLS = {"network": dict(GRID, rows=1, cols=sim.MAX_GRID_NODES + 1)}
+TOO_MANY_ROWS = {"network": dict(GRID, rows=sim.MAX_NODES + 1, cols=1)}
+TOO_MANY_COLS = {"network": dict(GRID, rows=1, cols=sim.MAX_NODES + 1)}
+# a network file with one node more than a network may have, kept as its
+# JSON text (about 3.5 MB) rather than as 250,001 dicts
+TOO_MANY_NODES = json.dumps({"nodes": [{"id": n}
+                                       for n in range(sim.MAX_NODES + 1)],
+                             "links": []})
+BIG_FILE_NETWORK = {"network": {"kind": "file", "path": "big.json"}}
 
 
 @pytest.mark.parametrize("command,overrides,files", [
@@ -480,6 +486,10 @@ TOO_MANY_COLS = {"network": dict(GRID, rows=1, cols=sim.MAX_GRID_NODES + 1)}
     ("sweep", {"axes": {"fleet_size": [sim.MAX_FLEET_SIZE + 1]}}, {}),
     ("sweep", {"base": config_doc(**TOO_MANY_ROWS)}, {}),
     ("sweep", {"base": config_doc(**TOO_MANY_COLS)}, {}),
+    *[(command, BIG_FILE_NETWORK, {"big.json": TOO_MANY_NODES})
+      for command in ("validate", "run")],
+    ("sweep", {"base": config_doc(**BIG_FILE_NETWORK)},
+     {"big.json": TOO_MANY_NODES}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
@@ -501,15 +511,23 @@ TOO_MANY_COLS = {"network": dict(GRID, rows=1, cols=sim.MAX_GRID_NODES + 1)}
         "validate-grid-cols-beyond-cap", "fleet-beyond-cap",
         "grid-rows-beyond-cap", "grid-cols-beyond-cap",
         "sweep-fleet-beyond-cap", "sweep-grid-rows-beyond-cap",
-        "sweep-grid-cols-beyond-cap"])
+        "sweep-grid-cols-beyond-cap", "validate-file-nodes-beyond-cap",
+        "file-nodes-beyond-cap", "sweep-file-nodes-beyond-cap"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
-    # no case may get as far as building a fleet or a grid past its cap
+    # no case may get as far as building a fleet, a grid or a network
+    # from a file past its cap
     real_grid, real_fleet = sim.grid_network, sim.initialize_fleet
+    real_network = sim.load_network
 
     def grid(rows, cols, *args):
-        assert rows * cols <= sim.MAX_GRID_NODES, "grid built past its cap"
+        assert rows * cols <= sim.MAX_NODES, "grid built past its cap"
         return real_grid(rows, cols, *args)
+
+    def network(source):
+        net = real_network(source)
+        assert len(net.nodes) <= sim.MAX_NODES, "network built past its cap"
+        return net
 
     def fleet(config, *args):
         assert config.fleet_size <= sim.MAX_FLEET_SIZE, \
@@ -517,10 +535,12 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
         return real_fleet(config, *args)
 
     monkeypatch.setattr(sim, "grid_network", grid)
+    monkeypatch.setattr(sim, "load_network", network)
     monkeypatch.setattr(sim, "initialize_fleet", fleet)
     monkeypatch.chdir(tmp_path)
     for name, doc in files.items():
-        (tmp_path / name).write_text(json.dumps(doc))
+        (tmp_path / name).write_text(
+            doc if isinstance(doc, str) else json.dumps(doc))
     path = tmp_path / "doc.json"
     if command == "sweep":
         path.write_text(json.dumps(

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ridematch.network import (Link, NetworkFormatError, RoadNetwork,
-                               grid_network, load_network)
+from ridematch.network import (MAX_NODES, Link, NetworkFormatError,
+                               RoadNetwork, grid_network, load_network)
 
 from oracles import bellman_ford, smallest_shortest_path
 
@@ -35,6 +35,11 @@ class TestRouting:
             line_net.shortest_travel_time(0, 99)
         with pytest.raises(KeyError):
             line_net.next_link(0, 99)
+        # a list row would read a negative position from its far end
+        with pytest.raises(KeyError):
+            line_net.shortest_travel_time(-1, 0)
+        with pytest.raises(KeyError):
+            line_net.travel_times_to(-1)
 
     def test_tie_breaks_to_smallest_next_node(self):
         # two equal-cost routes 0->1->3 and 0->2->3; 1 < 2 must win
@@ -56,30 +61,36 @@ class TestRouting:
                      if a != b and a != no_out and b != no_in
                      and rng.random() < 0.3]
             net = RoadNetwork(ids, links)
+            pos = net.position
+            assert net.nodes == tuple(sorted(ids))
             raw = [(l.src, l.dst, l.travel_time_s) for l in links]
             expect = {src: bellman_ford(ids, raw, src) for src in ids}
             for src in ids:
-                assert net.reachable_from(src) == set(expect[src])
+                assert {net.nodes[p] for p in net.reachable_from(pos[src])} \
+                    == set(expect[src])
                 for dst in ids:
-                    assert net.shortest_travel_time(src, dst) \
+                    assert net.shortest_travel_time(pos[src], pos[dst]) \
                         == expect[src].get(dst)
             for dst in ids:
-                row = net.travel_times_to(dst)
-                # unreachable nodes are absent keys, distances plain ints
-                assert row == {src: expect[src][dst] for src in ids
-                               if dst in expect[src]}
-                assert all(type(k) is int and type(v) is int
-                           for k, v in row.items())
-                assert (no_out in row) == (dst == no_out)
-            assert net.travel_times_to(no_in) == {no_in: 0}
+                row = net.travel_times_to(pos[dst])
+                # one entry per position: None exactly where dst cannot
+                # be reached, a plain int everywhere else
+                assert type(row) is list and len(row) == len(net.nodes)
+                assert row == [expect[src].get(dst) for src in net.nodes]
+                assert all(type(v) is int for v in row if v is not None)
+                assert (row[pos[no_out]] is not None) == (dst == no_out)
+            assert net.travel_times_to(pos[no_in]) == [
+                0 if n == no_in else None for n in net.nodes]
 
     def test_large_grid_rows_are_manhattan(self):
         net = grid_network(40, 40)
         for target in (0, 39, 821, 1599):
             tr, tc = divmod(target, 40)
-            assert net.travel_times_to(target) == {
-                r * 40 + c: 40 * (abs(r - tr) + abs(c - tc))
-                for r in range(40) for c in range(40)}
+            row = net.travel_times_to(target)
+            # grid ids are row-major, so each is its own position
+            assert row == [40 * (abs(r - tr) + abs(c - tc))
+                           for r in range(40) for c in range(40)]
+            assert all(type(v) is int for v in row)
 
     def test_paths_are_connected_and_optimal(self):
         rng = random.Random(11)
@@ -114,16 +125,19 @@ class TestRouting:
                      for a in ids for b in ids
                      if a != b and rng.random() < 0.45]
             net = RoadNetwork(ids, links)
+            pos = net.position
             raw = [(l.src, l.dst, l.travel_time_s) for l in links]
             for src in ids:
                 for dst in ids:
                     expect = smallest_shortest_path(raw, src, dst)
-                    assert net.shortest_path(src, dst) == expect
-                    hop = net.next_link(src, dst)
+                    path = net.shortest_path(pos[src], pos[dst])
+                    assert (path if path is None else
+                            tuple(net.nodes[p] for p in path)) == expect
+                    hop = net.next_link(pos[src], pos[dst])
                     if expect is None or src == dst:
                         assert hop is None
                     else:
-                        assert hop == net.link(src, expect[1])
+                        assert hop == net.link(pos[src], pos[expect[1]])
 
     def test_repeat_queries_identical(self, grid6):
         assert grid6.shortest_path(3, 32) == grid6.shortest_path(3, 32)
@@ -235,6 +249,13 @@ class TestLoadNetwork:
         doc = self.doc()
         doc["links"][0]["to"] = 9
         with pytest.raises(NetworkFormatError, match="unknown node"):
+            load_network(doc)
+
+    def test_node_cap_is_inclusive(self):
+        doc = {"nodes": [{"id": n} for n in range(MAX_NODES)], "links": []}
+        assert len(load_network(doc).nodes) == MAX_NODES
+        doc["nodes"].append({"id": MAX_NODES})
+        with pytest.raises(NetworkFormatError, match="more than the"):
             load_network(doc)
 
     def test_non_integer_travel_time(self):

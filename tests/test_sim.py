@@ -10,7 +10,7 @@ import pytest
 from ridematch.metrics import compute_metrics
 from ridematch.model import SERVED
 from ridematch.network import Link, RoadNetwork
-from ridematch.sim import (MAX_FLEET_SIZE, MAX_GRID_NODES, MAX_REQUESTS,
+from ridematch.sim import (MAX_FLEET_SIZE, MAX_NODES, MAX_REQUESTS,
                            MAX_UPDATES, ConfigError,
                            ScenarioConfig, SimulationState, advance,
                            build_network, check_demand_bounds,
@@ -69,8 +69,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("at_cap,beyond", [
         ({"fleet_size": MAX_FLEET_SIZE}, {"fleet_size": MAX_FLEET_SIZE + 1}),
-        (grid_of(MAX_GRID_NODES, 1), grid_of(MAX_GRID_NODES + 1, 1)),
-        (grid_of(1, MAX_GRID_NODES), grid_of(1, MAX_GRID_NODES + 1)),
+        (grid_of(MAX_NODES, 1), grid_of(MAX_NODES + 1, 1)),
+        (grid_of(1, MAX_NODES), grid_of(1, MAX_NODES + 1)),
         (grid_of(500, 500), grid_of(501, 500)),
     ], ids=["fleet", "rows", "cols", "square"])
     def test_fleet_and_grid_caps_are_inclusive(self, at_cap, beyond):
