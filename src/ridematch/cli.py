@@ -19,17 +19,24 @@ from pathlib import Path
 from . import __version__
 from .metrics import (MetricsReport, compute_metrics, format_summary,
                       metrics_header, metrics_row)
-from .network import NetworkFormatError, read_json
-from .sim import (ConfigError, ScenarioConfig, build_network,
+from .network import Field, NetworkFormatError, check_fields, read_json
+from .sim import (DEMAND_SCALE, ConfigError, ScenarioConfig, build_network,
                   check_demand_bounds, check_demand_reachability,
-                  check_number, run_scenario, write_trip_log)
+                  run_scenario, write_trip_log)
 
 MANIFEST_SCHEMA_VERSION = 1
 
-# sweep axes mirror the sensitivity analysis dimensions
-SWEEP_AXES = ("fleet_size", "demand_scale", "capacity", "flexibility_s",
-              "update_interval_s", "matcher")
-DEFAULT_MAX_RUNS = 1000
+# the field tables of a sweep spec and of its axes, which mirror the
+# sensitivity analysis dimensions; an axis lists the values it takes
+SWEEP_TABLE = {
+    "base": Field(dict),
+    "axes": Field(dict, default={}),
+    "seeds": Field(list, 1, None),  # default: the base config's seed
+    "max_runs": Field(int, 1, 1000),
+}
+AXES_TABLE = {axis: Field(list, 1, None)
+              for axis in ("fleet_size", "demand_scale", "capacity",
+                           "flexibility_s", "update_interval_s", "matcher")}
 
 
 def _load_config(path: str | Path) -> ScenarioConfig:
@@ -150,39 +157,21 @@ def _is_nan(v) -> bool:
 
 
 def _load_sweep_spec(path: str | Path) -> tuple[ScenarioConfig, dict, list, int]:
-    doc = read_json(path, ConfigError, "sweep spec")
-    if not isinstance(doc, dict):
-        raise ConfigError("sweep spec must be a JSON object")
-    unknown = set(doc) - {"base", "axes", "seeds", "max_runs"}
-    if unknown:
-        raise ConfigError(f"unknown sweep fields: {sorted(unknown)}")
-    if "base" not in doc:
-        raise ConfigError("sweep spec needs a 'base' scenario config")
+    doc = check_fields(read_json(path, ConfigError, "sweep spec"),
+                       SWEEP_TABLE, "sweep spec", ConfigError)
     base = ScenarioConfig.from_dict(doc["base"])
-    axes = doc.get("axes", {})
-    if not isinstance(axes, dict):
-        raise ConfigError("axes must be an object of lists")
-    bad = set(axes) - set(SWEEP_AXES)
-    if bad:
-        raise ConfigError(f"unsupported sweep axes: {sorted(bad)}; "
-                          f"allowed: {list(SWEEP_AXES)}")
-    for key, values in axes.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"axis {key!r} must be a non-empty list")
-    seeds = doc.get("seeds", [base.seed])
-    if not isinstance(seeds, list) or not seeds \
-            or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds must be a non-empty list of integers")
-    max_runs = check_number(doc.get("max_runs", DEFAULT_MAX_RUNS),
-                            "max_runs", 1)
-    return base, axes, seeds, max_runs
+    axes = check_fields(doc.get("axes", SWEEP_TABLE["axes"].default),
+                        AXES_TABLE, "sweep axes", ConfigError)
+    # each seed and axis value is checked with the config it goes into
+    return (base, axes, doc.get("seeds", [base.seed]),
+            doc.get("max_runs", SWEEP_TABLE["max_runs"].default))
 
 
 def _sweep_combos(base: ScenarioConfig, axes: dict,
                   seeds: list[int]) -> list[dict]:
     """Cross product of axis values x seeds, each as a full config dict."""
     combos: list[dict] = [{}]
-    for key in SWEEP_AXES:
+    for key in AXES_TABLE:
         if key not in axes:
             continue
         combos = [dict(c, **{key: v}) for c in combos for v in axes[key]]
@@ -235,7 +224,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     failures = 0
     for idx, (doc, res) in enumerate(zip(combos, results)):
-        cfg_vals = [doc["fleet_size"], doc["demand"].get("scale", 1.0),
+        cfg_vals = [doc["fleet_size"],
+                    doc["demand"].get("scale", DEMAND_SCALE.default),
                     doc["capacity"], doc["flexibility_s"],
                     doc["update_interval_s"], doc["matcher"], doc["seed"]]
         if res["status"] == "ok":
@@ -291,10 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, NetworkFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, NetworkFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,17 +52,16 @@ Tour = tuple[Stop, ...]
 class Request:
     """A trip request with its derived service window.
 
-    ``e_r`` is the earliest pickup time (equal to the announcement time
-    ``t_r`` here), ``l_r`` the latest dropoff time, ``f_r`` the flexibility
-    budget ``l_r - e_r - H(O, D)``, and ``q_r = e_r + f_r`` the latest
-    pickup time; its stops copy both.  ``assign_t``, the update that
-    committed the request, is only logged; the vehicle that will serve it
-    is read from the tours until the pickup sets ``vehicle_id``.
+    The earliest pickup time is the announcement time ``t_r``, ``l_r`` the
+    latest dropoff time, ``f_r`` the flexibility budget ``l_r - t_r -
+    H(O, D)``, and ``q_r = t_r + f_r`` the latest pickup time; its stops
+    copy both.  ``assign_t``, the update that committed the request, is
+    only logged; the vehicle that will serve it is read from the tours
+    until the pickup sets ``vehicle_id``.
     """
 
     id: int
     t_r: int
-    e_r: int
     l_r: int
     origin: int
     destination: int
@@ -82,7 +81,7 @@ class Request:
         self.status = new
 
 
-def derive_window(e_r: int, origin: int, destination: int,
+def derive_window(t_r: int, origin: int, destination: int,
                   flexibility_s: int, net: RoadNetwork) -> tuple[int, int, int]:
     """Return ``(l_r, q_r, direct_time)`` for a window given as flexibility.
 
@@ -95,15 +94,15 @@ def derive_window(e_r: int, origin: int, destination: int,
     if direct is None:
         raise ValueError(f"no route from {net.nodes[origin]} to "
                          f"{net.nodes[destination]}")
-    return e_r + flexibility_s + direct, e_r + flexibility_s, direct
+    return t_r + flexibility_s + direct, t_r + flexibility_s, direct
 
 
 def make_request(rid: int, t_r: int, origin: int, destination: int,
                  flexibility_s: int, net: RoadNetwork) -> Request:
-    """Construct a request announced at ``t_r`` with ``e_r = t_r``."""
+    """Construct a request announced at ``t_r``."""
     l_r, q_r, direct = derive_window(t_r, origin, destination,
                                      flexibility_s, net)
-    return Request(id=rid, t_r=t_r, e_r=t_r, l_r=l_r, origin=origin,
+    return Request(id=rid, t_r=t_r, l_r=l_r, origin=origin,
                    destination=destination, f_r=flexibility_s, q_r=q_r,
                    direct_time_s=direct)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -51,9 +52,6 @@ class Link(NamedTuple):
 # network is built: a node takes about 2.3 KB, and each routing row one
 # list slot per node
 MAX_NODES = 250_000
-
-_NODE_FIELDS = {"id"}
-_LINK_FIELDS = {"from", "to", "length_m", "travel_time_s"}
 
 
 class RoadNetwork:
@@ -207,10 +205,105 @@ class RoadNetwork:
         return tuple(path) if path[-1] == dst else None
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NetworkFormatError(f"{what} must be an integer, got {value!r}")
-    return value
+REQUIRED = object()  # the default of a field a record must give
+
+
+class Field(NamedTuple):
+    """One field of an input record.
+
+    ``kind`` is ``int``, ``float`` (any finite number, integers too),
+    ``str``, ``list``, ``dict`` (an object), or a tuple of the strings the
+    field may hold.  ``minimum`` bounds a number from below, and a list's
+    length.  A field with a ``default`` of None is optional and its reader
+    supplies the value.
+    """
+
+    kind: type | tuple[str, ...]
+    minimum: int | None = None
+    default: object = REQUIRED
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_fields(doc, table: dict[str, Field], what: str,
+                 error_cls: type[Exception]):
+    """Return ``doc`` if it is a JSON object that ``table`` describes.
+
+    Every field it gives must be in the table, of the field's kind and at
+    least its minimum (a bool is never a number), and every required field
+    must be given.  Otherwise raise ``error_cls`` with a one-line message
+    naming ``what``.
+    """
+    if type(doc) is not dict:
+        raise error_cls(f"{what} must be a JSON object")
+    missing = []
+    for name, (kind, minimum, default) in table.items():
+        if name not in doc:
+            if default is REQUIRED:
+                missing.append(name)
+            continue
+        value = doc[name]
+        if type(kind) is tuple:
+            ok = type(value) is str and value in kind
+        elif kind is float:  # the comparison is exact for ints, false for nan
+            ok = type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+        else:
+            ok = type(value) is kind
+        if ok and minimum is not None:
+            ok = (len(value) if kind is list else value) >= minimum
+        if not ok:
+            if type(kind) is tuple:
+                expected = f"one of {sorted(kind)}"
+            else:
+                expected = _KIND_NAMES[kind]
+            if minimum is not None:
+                expected += (f" of length >= {minimum}" if kind is list
+                             else f" >= {minimum}")
+            raise error_cls(f"{what} {name} must be {expected}, "
+                            f"got {value!r}")
+    if missing or not doc.keys() <= table.keys():
+        problem = (f"missing {what} fields {missing}" if missing else
+                   f"unknown {what} fields {sorted(doc.keys() - table.keys())}")
+        fields = ", ".join(repr(name) + ("" if f.default is REQUIRED else "?")
+                           for name, f in table.items())
+        raise error_cls(f"{problem}, expected exactly {fields}")
+    return doc
+
+
+def check_records(records: list, table: dict[str, Field], what: str,
+                  error_cls: type[Exception]) -> None:
+    """``check_fields`` on each of ``records``, naming a bad one by its
+    index; good records of a table of numbers are recognised in bulk, one
+    pass over the list per field, which costs less than a call each."""
+    if not _numbers_ok(records, table):
+        for i, rec in enumerate(records):
+            check_fields(rec, table, f"{what} {i}", error_cls)
+
+
+def _numbers_ok(records: list, table: dict[str, Field]) -> bool:
+    if not set(map(type, records)) <= {dict}:
+        return False
+    required = {name for name, f in table.items() if f.default is REQUIRED}
+    if not all(required <= keys <= table.keys()
+               for keys in set(map(frozenset, records))):
+        return False
+    for name, (kind, minimum, _) in table.items():
+        column = [rec[name] for rec in records if name in rec]
+        types = set(map(type, column))
+        if kind is int:
+            ok = types <= {int}
+        elif kind is float:
+            ok = types <= {int, float} and all(abs(v) <= _FLOAT_MAX
+                                               for v in column)
+        else:
+            return False
+        if not ok or (minimum is not None and column
+                      and min(column) < minimum):
+            return False
+    return True
 
 
 def read_json(path: str | Path, error_cls: type[Exception], what: str):
@@ -226,8 +319,17 @@ def read_json(path: str | Path, error_cls: type[Exception], what: str):
         raise error_cls(f"cannot read {what} {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides a syntax error: an integer too long to convert, or
+        # arrays and objects nested too deep
         raise error_cls(f"invalid JSON in {path}: {exc}") from exc
+
+
+# the field tables of a network document, its node records and its links
+NETWORK_TABLE = {"nodes": Field(list), "links": Field(list)}
+NODE_TABLE = {"id": Field(int)}
+LINK_TABLE = {"from": Field(int), "to": Field(int), "length_m": Field(float),
+              "travel_time_s": Field(int)}
 
 
 def load_network(source: str | Path | dict) -> RoadNetwork:
@@ -247,45 +349,20 @@ def load_network(source: str | Path | dict) -> RoadNetwork:
         doc = source
     else:
         doc = read_json(source, NetworkFormatError, "network file")
-    if not isinstance(doc, dict):
-        raise NetworkFormatError("network document must be a JSON object")
-    extra = set(doc) - {"nodes", "links"}
-    if extra:
-        raise NetworkFormatError(f"unknown top-level fields: {sorted(extra)}")
-    if "nodes" not in doc or "links" not in doc:
-        raise NetworkFormatError("network document needs 'nodes' and 'links'")
-    if not (isinstance(doc["nodes"], list) and isinstance(doc["links"], list)):
-        raise NetworkFormatError("network 'nodes' and 'links' must be lists")
+    check_fields(doc, NETWORK_TABLE, "top-level", NetworkFormatError)
     if len(doc["nodes"]) > MAX_NODES:
         raise NetworkFormatError(f"network has {len(doc['nodes'])} nodes, "
                                  f"more than the {MAX_NODES} a network "
                                  f"may have")
-
-    nodes: list[int] = []
-    seen: set[int] = set()
+    check_records(doc["nodes"], NODE_TABLE, "node record", NetworkFormatError)
+    check_records(doc["links"], LINK_TABLE, "link record", NetworkFormatError)
+    nodes: set[int] = set()
     for rec in doc["nodes"]:
-        if not isinstance(rec, dict) or set(rec) != _NODE_FIELDS:
-            raise NetworkFormatError(f"node record must have exactly 'id': {rec!r}")
-        nid = _as_int(rec["id"], "node id")
-        if nid in seen:
-            raise NetworkFormatError(f"duplicate node id {nid}")
-        seen.add(nid)
-        nodes.append(nid)
-
-    links: list[Link] = []
-    for rec in doc["links"]:
-        if not isinstance(rec, dict) or set(rec) != _LINK_FIELDS:
-            raise NetworkFormatError(
-                f"link record must have exactly {sorted(_LINK_FIELDS)}: {rec!r}")
-        src = _as_int(rec["from"], "link 'from'")
-        dst = _as_int(rec["to"], "link 'to'")
-        tt = _as_int(rec["travel_time_s"], "link travel_time_s")
-        length = rec["length_m"]
-        if isinstance(length, bool) or not isinstance(length, (int, float)):
-            raise NetworkFormatError(f"link length_m must be a number: {length!r}")
-        if src not in seen or dst not in seen:
-            raise NetworkFormatError(f"link {src}->{dst} references an unknown node")
-        links.append(Link(src, dst, float(length), tt))
+        if rec["id"] in nodes:
+            raise NetworkFormatError(f"duplicate node id {rec['id']}")
+        nodes.add(rec["id"])
+    links = [Link(rec["from"], rec["to"], float(rec["length_m"]),
+                  rec["travel_time_s"]) for rec in doc["links"]]
     return RoadNetwork(nodes, links)
 
 

@@ -11,9 +11,9 @@ request is served or expired and every tour is finished.
 from __future__ import annotations
 
 import csv
-import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -22,24 +22,53 @@ import numpy as np
 from .engine import MATCHERS, UpdateOutcome
 from .model import (ONBOARD, PENDING, SERVED, PICKUP, Request, Vehicle,
                     make_request)
-from .network import (MAX_NODES, NetworkFormatError, RoadNetwork,
-                      grid_network, load_network, read_json)
+from .network import (MAX_NODES, Field, NetworkFormatError, RoadNetwork,
+                      check_fields, check_records, grid_network,
+                      load_network, read_json)
 
 
 class ConfigError(ValueError):
     """A scenario document failed validation."""
 
 
-_CONFIG_FIELDS = {"network", "demand", "loading_period_s", "fleet_size",
-                  "capacity", "flexibility_s", "update_interval_s",
-                  "matcher", "seed"}
-_NETWORK_KINDS = {"grid", "file"}
-_DEMAND_KINDS = {"poisson", "uniform", "file"}
+# the field tables of a scenario config and of the objects it holds; the
+# network and the demand each have one table per kind
+CONFIG_TABLE = {
+    "network": Field(dict),
+    "demand": Field(dict),
+    "loading_period_s": Field(int, 0),
+    "fleet_size": Field(int, 1),
+    "capacity": Field(int, 1),
+    "flexibility_s": Field(int, 0),
+    "update_interval_s": Field(int, 1),
+    "matcher": Field(tuple(MATCHERS), default="gmomatch"),
+    "seed": Field(int, 0, 0),
+}
+GRID_TABLE = {
+    "kind": Field(("grid",)),
+    "rows": Field(int, 1),
+    "cols": Field(int, 1),
+    "link_length_m": Field(float, 0, 400.0),  # and positive, see from_dict
+    "link_travel_time_s": Field(int, 1, 40),
+}
+_FILE_TABLE = {"kind": Field(("file",)), "path": Field(str)}
+NETWORK_TABLES = {"grid": GRID_TABLE, "file": _FILE_TABLE}
+DEMAND_SCALE = Field(float, 0, 1.0)
+DEMAND_TABLES = {
+    "poisson": {"kind": Field(("poisson",)), "od_rates": Field(list, 1),
+                "scale": DEMAND_SCALE},
+    "uniform": {"kind": Field(("uniform",)),
+                "requests_per_hour": Field(float, 0), "scale": DEMAND_SCALE},
+    "file": _FILE_TABLE,
+}
+OD_RATE_TABLE = {"origin": Field(int), "destination": Field(int),
+                 "rate_per_hour": Field(float, 0)}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario parameters; see ``from_dict`` for the schema."""
+    """Validated scenario parameters, one per field of ``CONFIG_TABLE``;
+    ``network`` and ``demand`` are kept as given."""
 
     network: dict
     demand: dict
@@ -48,152 +77,62 @@ class ScenarioConfig:
     capacity: int
     flexibility_s: int
     update_interval_s: int
-    matcher: str = "gmomatch"
-    seed: int = 0
+    matcher: str
+    seed: int
 
     @staticmethod
     def from_dict(doc: dict) -> "ScenarioConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("scenario config must be a JSON object")
-        unknown = set(doc) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        missing = _CONFIG_FIELDS - {"matcher", "seed"} - set(doc)
-        if missing:
-            raise ConfigError(f"missing config fields: {sorted(missing)}")
-        cfg = ScenarioConfig(
-            network=doc["network"],
-            demand=doc["demand"],
-            loading_period_s=check_number(doc["loading_period_s"],
-                                          "loading_period_s", 0),
-            fleet_size=check_number(doc["fleet_size"], "fleet_size", 1),
-            capacity=check_number(doc["capacity"], "capacity", 1),
-            flexibility_s=check_number(doc["flexibility_s"],
-                                       "flexibility_s", 0),
-            update_interval_s=check_number(doc["update_interval_s"],
-                                           "update_interval_s", 1),
-            matcher=_choice(doc.get("matcher", "gmomatch"), "matcher",
-                            MATCHERS),
-            seed=check_number(doc.get("seed", 0), "seed", 0),
-        )
-        cfg._check()
-        return cfg
+        check_fields(doc, CONFIG_TABLE, "config", ConfigError)
+        if doc["fleet_size"] > MAX_FLEET_SIZE:
+            raise ConfigError(f"fleet_size must be at most {MAX_FLEET_SIZE}, "
+                              f"got {doc['fleet_size']}")
+        network = _check_kind(doc["network"], NETWORK_TABLES, "network")
+        if network["kind"] == "grid":
+            rows, cols = network["rows"], network["cols"]
+            if rows * cols > MAX_NODES:
+                raise ConfigError(f"a {rows} x {cols} grid has more than "
+                                  f"the {MAX_NODES} nodes a network "
+                                  f"may have")
+            length = network.get("link_length_m")
+            if length == 0:  # the table bounds it by 0 inclusive
+                raise ConfigError(f"network link_length_m must be > 0, "
+                                  f"got {length!r}")
+        demand = _check_kind(doc["demand"], DEMAND_TABLES, "demand")
+        if demand["kind"] == "poisson":
+            check_records(demand["od_rates"], OD_RATE_TABLE, "od_rates entry",
+                          ConfigError)
+            if any(rec["origin"] == rec["destination"]
+                   for rec in demand["od_rates"]):
+                raise ConfigError("od_rates origin must differ from "
+                                  "destination")
+        return ScenarioConfig(**{name: doc.get(name, f.default)
+                                 for name, f in CONFIG_TABLE.items()})
 
     def to_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "demand": self.demand,
-            "loading_period_s": self.loading_period_s,
-            "fleet_size": self.fleet_size,
-            "capacity": self.capacity,
-            "flexibility_s": self.flexibility_s,
-            "update_interval_s": self.update_interval_s,
-            "matcher": self.matcher,
-            "seed": self.seed,
-        }
+        return {name: getattr(self, name) for name in CONFIG_TABLE}
 
     def replace(self, **changes) -> "ScenarioConfig":
         doc = self.to_dict()
         doc.update(changes)
         return ScenarioConfig.from_dict(doc)
 
-    def _check(self) -> None:
-        if self.fleet_size > MAX_FLEET_SIZE:
-            raise ConfigError(f"fleet_size must be at most {MAX_FLEET_SIZE}, "
-                              f"got {self.fleet_size}")
-        if not isinstance(self.network, dict):
-            raise ConfigError("network must be an object")
-        kind = _choice(self.network.get("kind"), "network.kind",
-                       _NETWORK_KINDS)
-        if kind == "grid":
-            extra = set(self.network) - {"kind", "rows", "cols",
-                                         "link_length_m", "link_travel_time_s"}
-            if extra:
-                raise ConfigError(f"unknown network fields: {sorted(extra)}")
-            if not ("rows" in self.network and "cols" in self.network):
-                raise ConfigError("grid network needs 'rows' and 'cols'")
-            rows = check_number(self.network["rows"], "network.rows", 1)
-            cols = check_number(self.network["cols"], "network.cols", 1)
-            if rows * cols > MAX_NODES:
-                raise ConfigError(f"a {rows} x {cols} grid has more than "
-                                  f"the {MAX_NODES} nodes a network "
-                                  f"may have")
-            check_number(self.network.get("link_length_m", 400.0),
-                         "network.link_length_m", 0, integer=False)
-            check_number(self.network.get("link_travel_time_s", 40),
-                         "network.link_travel_time_s", 1)
-        else:
-            extra = set(self.network) - {"kind", "path"}
-            if extra:
-                raise ConfigError(f"unknown network fields: {sorted(extra)}")
-            if not isinstance(self.network.get("path"), str):
-                raise ConfigError("file network needs a 'path' string")
-        if not isinstance(self.demand, dict):
-            raise ConfigError("demand must be an object")
-        dkind = _choice(self.demand.get("kind"), "demand.kind", _DEMAND_KINDS)
-        if dkind == "poisson":
-            extra = set(self.demand) - {"kind", "od_rates", "scale"}
-            if extra:
-                raise ConfigError(f"unknown demand fields: {sorted(extra)}")
-            rates = self.demand.get("od_rates")
-            if not isinstance(rates, list) or not rates:
-                raise ConfigError("poisson demand needs a non-empty od_rates list")
-            for rec in rates:
-                if (not isinstance(rec, dict)
-                        or set(rec) != {"origin", "destination", "rate_per_hour"}):
-                    raise ConfigError(f"bad od_rates entry: {rec!r}")
-                check_number(rec["rate_per_hour"], "rate_per_hour", 0,
-                             integer=False)
-                check_number(rec["origin"], "od_rates origin")
-                check_number(rec["destination"], "od_rates destination")
-                if rec["origin"] == rec["destination"]:
-                    raise ConfigError("od_rates origin must differ from destination")
-        elif dkind == "uniform":
-            extra = set(self.demand) - {"kind", "requests_per_hour", "scale"}
-            if extra:
-                raise ConfigError(f"unknown demand fields: {sorted(extra)}")
-            if "requests_per_hour" not in self.demand:
-                raise ConfigError("uniform demand needs 'requests_per_hour'")
-            check_number(self.demand["requests_per_hour"],
-                         "requests_per_hour", 0, integer=False)
-        else:
-            extra = set(self.demand) - {"kind", "path"}
-            if extra:
-                raise ConfigError(f"unknown demand fields: {sorted(extra)}")
-            if not isinstance(self.demand.get("path"), str):
-                raise ConfigError("file demand needs a 'path' string")
-        check_number(self.demand.get("scale", 1.0), "demand.scale", 0,
-                     integer=False)
 
-
-def check_number(value, name: str, minimum: float | None = None,
-                 integer: bool = True):
-    """Return ``value`` if it is a finite JSON number (an integer when
-    ``integer``) of at least ``minimum``; raise ConfigError otherwise."""
-    # type() rather than isinstance(): a bool is not a number here
-    if type(value) is int or (not integer and type(value) is float
-                              and -math.inf < value < math.inf):
-        if minimum is None or value >= minimum:
-            return value
-        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
-    what = "an integer" if integer else "a number"
-    raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-
-def _choice(value, name: str, allowed) -> str:
-    """Return ``value`` if it is one of the strings in ``allowed``."""
-    if not isinstance(value, str) or value not in allowed:
-        raise ConfigError(f"{name} must be one of {sorted(allowed)}, "
-                          f"got {value!r}")
-    return value
+def _check_kind(doc: dict, tables: dict[str, dict], what: str) -> dict:
+    """Check ``doc`` against the table its ``kind`` names."""
+    kind = doc.get("kind")
+    if type(kind) is not str or kind not in tables:
+        raise ConfigError(f"{what} kind must be one of {sorted(tables)}, "
+                          f"got {kind!r}")
+    return check_fields(doc, tables[kind], what, ConfigError)
 
 
 def build_network(config: ScenarioConfig) -> RoadNetwork:
     spec = config.network
     if spec["kind"] == "grid":
         return grid_network(spec["rows"], spec["cols"],
-                            spec.get("link_length_m", 400.0),
-                            spec.get("link_travel_time_s", 40))
+                            *(spec.get(name, GRID_TABLE[name].default)
+                              for name in ("link_length_m",
+                                           "link_travel_time_s")))
     try:
         return load_network(Path(spec["path"]))
     except NetworkFormatError as exc:
@@ -276,7 +215,7 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
 def _poisson_means(config: ScenarioConfig) -> list[float]:
     """The mean request count of each Poisson process of random demand."""
     T = config.loading_period_s
-    scale = config.demand.get("scale", 1.0)
+    scale = config.demand.get("scale", DEMAND_SCALE.default)
     if config.demand["kind"] == "uniform":
         return [config.demand["requests_per_hour"] * scale * T / 3600.0]
     return [rec["rate_per_hour"] * scale * T / 3600.0
@@ -286,6 +225,16 @@ def _poisson_means(config: ScenarioConfig) -> list[float]:
 def _poisson_count(rng: np.random.Generator, lam: float) -> int:
     """Draw a request count of mean ``lam``; a zero mean draws nothing."""
     return int(rng.poisson(lam)) if lam > 0 else 0
+
+
+# the field tables of a request file and of each of its records
+REQUEST_FILE_TABLE = {"requests": Field(list)}
+REQUEST_TABLE = {
+    "t_r": Field(int, 0),
+    "origin": Field(int),
+    "destination": Field(int),
+    "flexibility_s": Field(int, 0, None),  # default: the config's
+}
 
 
 def load_requests(path: Path, config: ScenarioConfig,
@@ -298,39 +247,23 @@ def load_requests(path: Path, config: ScenarioConfig,
     positions.  Request ids follow announcement order.
     """
     doc = read_json(path, ConfigError, "request file")
-    if not isinstance(doc, dict) or set(doc) != {"requests"} \
-            or not isinstance(doc["requests"], list):
-        raise ConfigError("request file must be {\"requests\": [...]}")
-    rows = []
-    required = {"t_r", "origin", "destination"}
-    allowed = required | {"flexibility_s"}
+    records = check_fields(doc, REQUEST_FILE_TABLE, "request file",
+                           ConfigError)["requests"]
+    check_records(records, REQUEST_TABLE, "request record", ConfigError)
     position = net.position
-    for rec in doc["requests"]:
-        if not isinstance(rec, dict) or not rec.keys() <= allowed:
-            raise ConfigError(f"bad request record: {rec!r}")
-        if not required <= rec.keys():
-            raise ConfigError(f"request record missing "
-                              f"{sorted(required - rec.keys())}: {rec!r}")
-        t_r = check_number(rec["t_r"], "request t_r", 0)
-        origin, destination = rec["origin"], rec["destination"]
-        # type() rather than isinstance(): a bool is not a node id
-        o = position.get(origin) if type(origin) is int else None
-        d = position.get(destination) if type(destination) is int else None
+    flex = config.flexibility_s
+    out = []
+    for rid, rec in enumerate(sorted(records, key=itemgetter("t_r"))):
+        o = position.get(rec["origin"])
+        d = position.get(rec["destination"])
         if o is None or d is None:
             raise ConfigError(f"request origin and destination must be "
                               f"nodes of the network: {rec!r}")
         if o == d:
             raise ConfigError("request origin must differ from destination")
-        flex = config.flexibility_s
-        if "flexibility_s" in rec:
-            flex = check_number(rec["flexibility_s"],
-                                "request flexibility_s", 0)
-        rows.append((t_r, o, d, flex, rec))
-    rows.sort(key=lambda row: row[0])
-    out = []
-    for rid, (t_r, o, d, flex, rec) in enumerate(rows):
         try:
-            out.append(make_request(rid, t_r, o, d, flex, net))
+            out.append(make_request(rid, rec["t_r"], o, d,
+                                    rec.get("flexibility_s", flex), net))
         except ValueError as exc:  # no route from origin to destination
             raise ConfigError(f"bad request record {rec!r}: {exc}") from exc
     return out

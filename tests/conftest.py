@@ -44,7 +44,7 @@ def skew3():
 def make_request(rid, t_r, origin, destination, flexibility_s, net):
     direct = net.shortest_travel_time(origin, destination)
     assert direct is not None
-    return Request(id=rid, t_r=t_r, e_r=t_r,
+    return Request(id=rid, t_r=t_r,
                    l_r=t_r + flexibility_s + direct, origin=origin,
                    destination=destination, f_r=flexibility_s,
                    q_r=t_r + flexibility_s, direct_time_s=direct)

@@ -18,7 +18,7 @@ from oracles import plan_arrivals, travel_times
 
 def _make_request(net, rid, t_r, origin, destination, flexibility_s):
     direct = net.shortest_travel_time(origin, destination)
-    return Request(id=rid, t_r=t_r, e_r=t_r,
+    return Request(id=rid, t_r=t_r,
                    l_r=t_r + flexibility_s + direct, origin=origin,
                    destination=destination, f_r=flexibility_s,
                    q_r=t_r + flexibility_s, direct_time_s=direct)

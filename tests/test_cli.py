@@ -490,6 +490,16 @@ BIG_FILE_NETWORK = {"network": {"kind": "file", "path": "big.json"}}
       for command in ("validate", "run")],
     ("sweep", {"base": config_doc(**BIG_FILE_NETWORK)},
      {"big.json": TOO_MANY_NODES}),
+    ("validate", {"network": {"kind": "file", "path": "net.json"}},
+     {"net.json": "[" * 100_000 + "]" * 100_000}),
+    ("validate", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": '{"requests": [{"t_r": ' + "1" * 5000
+                  + ', "origin": 0, "destination": 8}]}'}),
+    ("validate", {"demand": {"kind": "uniform", "requests_per_hour": 10**400}},
+     {}),
+    ("validate", {"network": {"kind": "file", "path": "net.json"}},
+     {"net.json": dict(ONE_WAY_LINE, links=[
+         {"from": 0, "to": 1, "length_m": 10**400, "travel_time_s": 40}])}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
@@ -512,7 +522,9 @@ BIG_FILE_NETWORK = {"network": {"kind": "file", "path": "big.json"}}
         "grid-rows-beyond-cap", "grid-cols-beyond-cap",
         "sweep-fleet-beyond-cap", "sweep-grid-rows-beyond-cap",
         "sweep-grid-cols-beyond-cap", "validate-file-nodes-beyond-cap",
-        "file-nodes-beyond-cap", "sweep-file-nodes-beyond-cap"])
+        "file-nodes-beyond-cap", "sweep-file-nodes-beyond-cap",
+        "network-file-nested-too-deep", "request-file-integer-too-long",
+        "rate-beyond-float-range", "link-length-beyond-float-range"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     # no case may get as far as building a fleet, a grid or a network

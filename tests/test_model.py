@@ -12,7 +12,7 @@ class TestWindows:
     def test_derived_deadlines(self, line_net):
         # direct 0->3 is 180 s
         req = make_request(1, 100, 0, 3, 300, line_net)
-        assert req.e_r == req.t_r == 100
+        assert req.t_r == 100
         assert req.q_r == 400
         assert req.l_r == 580
         assert req.direct_time_s == 180

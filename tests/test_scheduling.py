@@ -456,7 +456,7 @@ class TestIdleClosedForm:
         # 1, but the destination's row has no entry for it
         net = RoadNetwork(range(3), [Link(0, 1, 100.0, 10),
                                      Link(2, 1, 100.0, 10)])
-        req = Request(id=1, t_r=0, e_r=0, l_r=10**6, origin=1,
+        req = Request(id=1, t_r=0, l_r=10**6, origin=1,
                       destination=2, f_r=600, q_r=600, direct_time_s=0)
         veh = make_vehicle(0, 0)
         assert net.travel_times_to(2)[1] is None

@@ -45,6 +45,13 @@ class TestConfig:
         cfg = ScenarioConfig.from_dict(minimal_doc())
         assert cfg.matcher == "gmomatch" and cfg.seed == 0
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        # defaults stay out of the stored objects, so manifests and their
+        # digests show the config as given
+        network = {"kind": "grid", "rows": 3, "cols": 3}
+        demand = {"kind": "uniform", "requests_per_hour": 120}
+        doc = ScenarioConfig.from_dict(
+            minimal_doc(network=dict(network), demand=dict(demand))).to_dict()
+        assert doc["network"] == network and doc["demand"] == demand
 
     @pytest.mark.parametrize("overrides,message", [
         ({"update_interval_s": 0}, "update_interval_s"),
@@ -62,6 +69,8 @@ class TestConfig:
         ({"demand": {"kind": "uniform", "requests_per_hour": 10,
                      "scale": -1}}, "scale"),
         ({"fleet_size": 2.5}, "integer"),
+        ({"network": {"kind": "grid", "rows": 3, "cols": 3,
+                      "link_length_m": 0}}, "network.link_length_m"),
     ])
     def test_rejections(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -147,9 +156,8 @@ class TestDemand:
         assert reqs, "expected some demand"
         for i, r in enumerate(reqs):
             assert r.id == i
-            assert r.e_r == r.t_r
             assert 0 <= r.t_r < cfg.loading_period_s
-            assert r.q_r == r.e_r + cfg.flexibility_s
+            assert r.q_r == r.t_r + cfg.flexibility_s
             assert r.l_r == r.q_r + r.direct_time_s
             assert r.origin != r.destination
         assert [r.t_r for r in reqs] == sorted(r.t_r for r in reqs)
