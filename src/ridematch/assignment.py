@@ -95,8 +95,9 @@ def solve_assignment(graph: BipartiteGraph) -> list[Edge]:
 
     The rectangular problem is squared up with a prohibitive cost larger
     than the sum of all real edge costs, which makes leaving a matchable
-    request unmatched strictly worse than any feasible pairing.  Returns
-    the chosen edges sorted by request id.
+    request unmatched strictly worse than any feasible pairing.  It is
+    float64, as the solver computes, so it never overflows.  Returns the
+    chosen edges sorted by request id.
     """
     if not graph.edges:
         return []
@@ -104,7 +105,7 @@ def solve_assignment(graph: BipartiteGraph) -> list[Edge]:
     col_of = {vid: j for j, vid in enumerate(graph.vehicles)}
     n = max(len(graph.requests), len(graph.vehicles))
     prohibitive = sum(e.cost for e in graph.edges) + 2
-    cost = np.full((n, n), prohibitive, dtype=np.int64)
+    cost = np.full((n, n), prohibitive, dtype=np.float64)
     edge_at: dict[tuple[int, int], Edge] = {}
     for e in graph.edges:
         i, j = row_of[e.request_id], col_of[e.vehicle_id]

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -37,6 +38,7 @@ SWEEP_TABLE = {
 AXES_TABLE = {axis: Field(list, 1, None)
               for axis in ("fleet_size", "demand_scale", "capacity",
                            "flexibility_s", "update_interval_s", "matcher")}
+MAX_SWEEP_RUNS = 10_000  # the largest max_runs a sweep spec may set
 
 
 def _load_config(path: str | Path) -> ScenarioConfig:
@@ -162,9 +164,12 @@ def _load_sweep_spec(path: str | Path) -> tuple[ScenarioConfig, dict, list, int]
     base = ScenarioConfig.from_dict(doc["base"])
     axes = check_fields(doc.get("axes", SWEEP_TABLE["axes"].default),
                         AXES_TABLE, "sweep axes", ConfigError)
+    max_runs = doc.get("max_runs", SWEEP_TABLE["max_runs"].default)
+    if max_runs > MAX_SWEEP_RUNS:
+        raise ConfigError(f"max_runs must be at most {MAX_SWEEP_RUNS}, "
+                          f"got {max_runs}")
     # each seed and axis value is checked with the config it goes into
-    return (base, axes, doc.get("seeds", [base.seed]),
-            doc.get("max_runs", SWEEP_TABLE["max_runs"].default))
+    return base, axes, doc.get("seeds", [base.seed]), max_runs
 
 
 def _sweep_combos(base: ScenarioConfig, axes: dict,
@@ -205,15 +210,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     base, axes, seeds, max_runs = _load_sweep_spec(args.config)
+    # counted before any combination is built
+    runs = math.prod(map(len, axes.values())) * len(seeds)
+    if runs > max_runs:
+        raise ConfigError(f"sweep would launch {runs} runs, "
+                          f"above the max_runs cap of {max_runs}")
     build_network(base)  # every run has this network: a bad one exits 2
     combos = _sweep_combos(base, axes, seeds)
-    if len(combos) > max_runs:
-        raise ConfigError(f"sweep would launch {len(combos)} runs, "
-                          f"above the max_runs cap of {max_runs}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.jobs > 1:
-        workers = min(args.jobs, len(combos))  # the pool forks them all
+    if args.jobs > 1:  # the pool forks all its workers at once
+        workers = min(args.jobs, len(combos), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, combos))
     else:

@@ -9,18 +9,20 @@ current update instant until the last stop is completed.
 Every plan shape is one depth-first search over units (single stops or
 donor half-tour blocks) that places the lowest-index placeable unit
 first, carrying the clock and load, so whole tours come in a fixed
-enumeration order.  The search reads each stop as a leg: the travel
-times into its node, the node, its deadline and its load change.  An
-insertion search joins two sides: the vehicle's (its tour's units, their
-legs and the precedence list) and the request's (its pickup/dropoff
-pair and their legs).  A ``PricingContext`` builds each side the first
-time a ``path_cost`` call needs it and keeps a verdict for every pair it
-found infeasible, which answers that pair again at once.
-``gmomatch_update`` keeps one context for one update, across all its
-assignment rounds, and forgets each vehicle whose tour a commit or a
-merge replaces: at one update instant nothing else changes what pricing
-reads.  An empty tour has one plan, the pair, which ``path_cost`` prices
-in closed form at the search's cost.
+enumeration order.  A unit is a tuple of legs, one per stop, and a leg
+carries its stop with what the search reads of it: the travel times
+into its node, the node, its deadline and its load change, so the best
+order's legs spell the winning tour.  An insertion search joins two
+sides: the vehicle's (a unit per tour stop and the precedence list) and
+the request's (its pickup unit and its dropoff unit).  A
+``PricingContext`` builds each side the first time a ``path_cost`` call
+needs it and keeps a verdict for every pair it found infeasible, which
+answers that pair again at once.  ``gmomatch_update`` keeps one context
+for one update, across all its assignment rounds, and forgets each
+vehicle whose tour a commit or a merge replaces: at one update instant
+nothing else changes what pricing reads.  An empty tour has one plan,
+the pair, which ``path_cost`` prices in closed form at the search's
+cost.
 
 Legs are shortest paths, so no tour reaches a stop sooner than straight
 from where the vehicle is.  That gives two exact cuts.  Before any leg is
@@ -80,14 +82,16 @@ def evaluate_tour(net: RoadNetwork, t: int, start_node: int, depart_t: int,
 
 
 # the search's view of one stop: (its node's routing row, node, deadline,
-# load change); PICKUP is +1, DROPOFF -1
-Leg = tuple[Sequence[int | None], int, int, int]
+# load change, the stop); PICKUP is +1, DROPOFF -1
+Leg = tuple[Sequence[int | None], int, int, int, Stop]
+# stops the search places together, in order, as their legs
+Unit = tuple[Leg, ...]
 
 
-def tour_legs(net: RoadNetwork, stops: Sequence[Stop]) -> list[Leg]:
-    """The pricing search's leg for each of ``stops``, in order."""
-    return [(net.travel_times_to(s.node), s.node, s.deadline, s.kind)
-            for s in stops]
+def search_unit(net: RoadNetwork, stops: Sequence[Stop]) -> Unit:
+    """The pricing search's unit that places ``stops`` together, in order."""
+    return tuple((net.travel_times_to(s.node), s.node, s.deadline, s.kind, s)
+                 for s in stops)
 
 
 # tours with at most this many distinct requests are priced exhaustively
@@ -95,23 +99,13 @@ EXHAUSTIVE_REQUEST_LIMIT = 2
 
 
 class _VehicleSide(NamedTuple):
-    """A vehicle's half of every insertion search: its tour's units and
-    their legs, and the ``after`` list of the joined search, in which
-    the new pair's two units follow the tour's when ``tour_first``."""
+    """A vehicle's half of every insertion search: a unit per tour stop
+    and the ``after`` list of the joined search, in which the request's
+    pickup and dropoff units follow the tour's when ``tour_first``."""
 
     tour_first: bool
-    units: tuple[Tour, ...]
-    legs: tuple[tuple[Leg, ...], ...]
+    units: tuple[Unit, ...]
     after: list[int]
-
-
-class _RequestSide(NamedTuple):
-    """A request's half: its pickup/dropoff pair, as units and legs."""
-
-    pair: Tour
-    units: tuple[Tour, ...]
-    legs: tuple[tuple[Leg, ...], ...]
-    to_destination: Sequence[int | None]
 
 
 class PricingContext:
@@ -130,7 +124,7 @@ class PricingContext:
     def __init__(self, net: RoadNetwork):
         self.net = net
         self._vehicles: dict[int, _VehicleSide] = {}
-        self._requests: dict[int, _RequestSide] = {}
+        self._requests: dict[int, tuple[Unit, Unit]] = {}
         # vehicle id -> ids of the requests it cannot serve
         self.infeasible: dict[int, set[int]] = {}
 
@@ -144,8 +138,7 @@ class PricingContext:
         side = self._vehicles.get(vehicle.id)
         if side is None:
             tour = vehicle.tour
-            units = tuple((s,) for s in tour)
-            legs = tuple((leg,) for leg in tour_legs(self.net, tour))
+            units = tuple(search_unit(self.net, (s,)) for s in tour)
             # every rider has a stop in the tour, so this counts its
             # requests: few enough to re-order, or keep the order and
             # insert the pair, which then comes first
@@ -154,24 +147,20 @@ class PricingContext:
                              if s.kind == PICKUP}
                 after = [-1 if s.kind == PICKUP
                          else pickup_at.get(s.request_id, -1) for s in tour]
-                side = _VehicleSide(True, units, legs,
-                                    after + [-1, len(tour)])
+                side = _VehicleSide(True, units, after + [-1, len(tour)])
             else:
-                side = _VehicleSide(False, units, legs,
-                                    _chained(2, len(tour)))
+                side = _VehicleSide(False, units, _chained(2, len(tour)))
             self._vehicles[vehicle.id] = side
         return side
 
-    def request_side(self, request: Request) -> _RequestSide:
+    def request_side(self, request: Request) -> tuple[Unit, Unit]:
         side = self._requests.get(request.id)
         if side is None:
             pair = (Stop(PICKUP, request.id, request.origin, request.q_r),
                     Stop(DROPOFF, request.id, request.destination,
                          request.l_r))
-            legs = tour_legs(self.net, pair)
-            side = self._requests[request.id] = _RequestSide(
-                pair, ((pair[0],), (pair[1],)), ((legs[0],), (legs[1],)),
-                legs[1][0])
+            side = self._requests[request.id] = tuple(
+                search_unit(self.net, (s,)) for s in pair)
         return side
 
 
@@ -209,19 +198,19 @@ def _priced(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
     depart = max(t, vehicle.ready_at)
     if approach is None or depart + approach > request.q_r:
         return INFEASIBLE
-    pair, pair_units, pair_legs, to_destination = \
-        context.request_side(request)
+    pair = context.request_side(request)
     if not vehicle.tour:
         # nothing is aboard, so the seat test covers the load
-        direct = to_destination[request.origin]
+        dropoff = pair[1][0]
+        direct = dropoff[0][request.origin]
         if direct is None or depart + approach + direct > request.l_r:
             return INFEASIBLE
-        return PlanResult(True, depart + approach + direct - t, pair)
-    tour_first, units, legs, after = context.vehicle_side(vehicle)
+        return PlanResult(True, depart + approach + direct - t,
+                          (pair[0][0][4], dropoff[4]))
+    tour_first, units, after = context.vehicle_side(vehicle)
     if tour_first:
-        return _cheapest(t, vehicle, units + pair_units, legs + pair_legs,
-                         after)
-    return _cheapest(t, vehicle, pair_units + units, pair_legs + legs, after)
+        return _cheapest(t, vehicle, units + pair, after)
+    return _cheapest(t, vehicle, pair + units, after)
 
 
 def split_tour(tour: Tour) -> tuple[Tour, Tour]:
@@ -240,10 +229,10 @@ def split_merge_cost(net: RoadNetwork, t: int, donor: Vehicle,
     (first block slot, second block slot) order and the plan is priced
     from the recipient's position.  Ties keep the first candidate.
     """
-    blocks = [part for part in split_tour(donor.tour) if part]
-    units = blocks + [(s,) for s in recipient.tour]
+    blocks = [search_unit(net, part) for part in split_tour(donor.tour)
+              if part]
+    units = blocks + [search_unit(net, (s,)) for s in recipient.tour]
     return _cheapest(t, recipient, units,
-                     [tour_legs(net, unit) for unit in units],
                      _chained(len(blocks), len(recipient.tour)))
 
 
@@ -257,12 +246,10 @@ def _chained(*lengths: int) -> list[int]:
     return after
 
 
-def _cheapest(t: int, vehicle: Vehicle, units: Sequence[Tour],
-              legs: Sequence[Sequence[Leg]],
+def _cheapest(t: int, vehicle: Vehicle, units: Sequence[Unit],
               after: Sequence[int]) -> PlanResult:
     """Cheapest feasible order of ``units`` from the vehicle's position;
-    ``legs[k]`` are unit ``k``'s legs and ``after[k]`` the unit that must
-    precede it, or -1."""
+    ``after[k]`` is the unit that must precede unit ``k``, or -1."""
     n = len(units)
     if n == 0:
         return PlanResult(True, 0, ())
@@ -279,7 +266,7 @@ def _cheapest(t: int, vehicle: Vehicle, units: Sequence[Tour],
         while k < n:  # find the next unit, from k up, that fits here
             if not placed[k] and (after[k] < 0 or placed[after[k]]):
                 at, c, ld = node, clock, load
-                for row, stop_node, deadline, delta in legs[k]:
+                for row, stop_node, deadline, delta, _ in units[k]:
                     leg = row[at]
                     if leg is None:
                         break
@@ -298,7 +285,7 @@ def _cheapest(t: int, vehicle: Vehicle, units: Sequence[Tour],
             node, clock, load = at, c, ld
             if len(order) == n:
                 limit, best = clock, list(order)
-            elif not _hopeless(legs, placed, node, clock, limit):
+            elif not _hopeless(units, placed, node, clock, limit):
                 k = 0
                 continue
         if not order:
@@ -310,16 +297,16 @@ def _cheapest(t: int, vehicle: Vehicle, units: Sequence[Tour],
     if best is None:
         return INFEASIBLE
     return PlanResult(True, limit - t,
-                      tuple(s for k in best for s in units[k]))
+                      tuple(leg[4] for k in best for leg in units[k]))
 
 
-def _hopeless(legs: Sequence[Sequence[Leg]], placed: Sequence[bool],
+def _hopeless(units: Sequence[Unit], placed: Sequence[bool],
               node: int, clock: int, limit: float) -> bool:
     """Whether some unplaced stop, even straight from ``node`` at
     ``clock``, misses its deadline or arrives no earlier than ``limit``."""
-    for k, unit in enumerate(legs):
+    for k, unit in enumerate(units):
         if not placed[k]:
-            for row, _, deadline, _ in unit:
+            for row, _, deadline, _, _ in unit:
                 a = row[node]
                 if a is None or clock + a > deadline or clock + a >= limit:
                     return True

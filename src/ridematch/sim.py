@@ -266,6 +266,10 @@ def load_requests(path: Path, config: ScenarioConfig,
                                     rec.get("flexibility_s", flex), net))
         except ValueError as exc:  # no route from origin to destination
             raise ConfigError(f"bad request record {rec!r}: {exc}") from exc
+    # every request is dropped off by its l_r or expires at the first update
+    # after its q_r, so updates 0 .. max(l_r) // delta + 1 always suffice
+    delta = config.update_interval_s
+    _check_updates(max((r.l_r for r in out), default=0) // delta + 2, delta)
     return out
 
 
@@ -363,41 +367,41 @@ MAX_REQUESTS = 1_000_000
 # the most vehicles a config may ask for, checked before the fleet is
 # built: a vehicle takes about 0.4 KB (network.MAX_NODES caps the nodes)
 MAX_FLEET_SIZE = 100_000
+# numpy draws no arrival instant below a bound past 2**63
+MAX_LOADING_PERIOD_S = 2**63
 
 
-def check_demand_bounds(config: ScenarioConfig, net: RoadNetwork,
-                        demand: Sequence[Request] | None = None) -> None:
+def check_demand_bounds(config: ScenarioConfig, net: RoadNetwork) -> None:
     """Reject demand that ``run_scenario`` cannot simulate.
 
     Random demand is bounded by its config and network alone, so the
     verdict never depends on the draw: its Poisson means may sum to at
-    most ``MAX_REQUESTS``, and when the sum is positive a request may
-    arrive until the loading period ends and ride until ``flexibility_s``
-    plus its direct travel time after that, which must fit in
-    ``MAX_UPDATES`` updates.  ``generate_demand`` checks this before it
-    draws, after ``check_demand_reachability`` has found a route for
-    every OD pair.  The requests, read from the file when ``demand`` is
-    not given, must fit in ``MAX_UPDATES`` updates too.
+    most ``MAX_REQUESTS``, and when the sum is positive the loading
+    period may be at most ``MAX_LOADING_PERIOD_S`` and a request may
+    arrive until it ends and ride until ``flexibility_s`` plus its
+    direct travel time after that, which must fit in ``MAX_UPDATES``
+    updates.  ``generate_demand`` checks this before it draws, after
+    ``check_demand_reachability`` has found a route for every OD pair.
+    A request file is checked as ``load_requests`` reads it.
     """
-    delta = config.update_interval_s
-    if config.demand["kind"] != "file":
-        means = _poisson_means(config)
-        total = sum(means)
-        if not total <= MAX_REQUESTS:  # also an overflowed inf or nan
-            raise ConfigError(f"demand averages {total:.3g} requests, more "
-                              f"than the {MAX_REQUESTS} a run may hold")
-        if total > 0:
-            _check_updates((config.loading_period_s + config.flexibility_s
-                            + _longest_route(config, net, means))
-                           // delta + 2, delta)
-        if demand is None:
-            return
-    elif demand is None:
-        demand = load_requests(Path(config.demand["path"]), config, net)
-    # every request is dropped off by its l_r or expires at the first update
-    # after its q_r, so updates 0 .. max(l_r) // delta + 1 always suffice
-    _check_updates(max((r.l_r for r in demand), default=0) // delta + 2,
-                   delta)
+    if config.demand["kind"] == "file":
+        load_requests(Path(config.demand["path"]), config, net)
+        return
+    means = _poisson_means(config)
+    total = sum(means)
+    if not total <= MAX_REQUESTS:  # also an overflowed inf or nan
+        raise ConfigError(f"demand averages {total:.3g} requests, more "
+                          f"than the {MAX_REQUESTS} a run may hold")
+    if total > 0:
+        T = config.loading_period_s
+        if T > MAX_LOADING_PERIOD_S:
+            raise ConfigError(f"loading_period_s must be at most "
+                              f"{MAX_LOADING_PERIOD_S} for random demand, "
+                              f"got {T}")
+        delta = config.update_interval_s
+        _check_updates((T + config.flexibility_s
+                        + _longest_route(config, net, means))
+                       // delta + 2, delta)
 
 
 def _longest_route(config: ScenarioConfig, net: RoadNetwork,
@@ -429,7 +433,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     check_demand_reachability(config, net)
     rng = np.random.default_rng(config.seed)
     demand = generate_demand(config, net, rng)
-    check_demand_bounds(config, net, demand)
     delta = config.update_interval_s
     vehicles = initialize_fleet(config, demand, net, rng)
     state = SimulationState(net=net, vehicles=vehicles, requests=demand,

@@ -163,6 +163,16 @@ class TestSolveAssignment:
             assert len({e.request_id for e in got}) == len(got)
             assert len({e.vehicle_id for e in got}) == len(got)
 
+    def test_costs_summing_past_int64(self):
+        # the prohibitive padding exceeds 2**63; the matrix must hold it
+        costs = {(r, 100 + v): 2**50 + (r != v)
+                 for r in range(3) for v in range(3)}
+        costs.update({(r, 100 + v): 2**62 for r in range(3, 5)
+                      for v in range(3)})
+        got = solve_assignment(graph_from_costs(costs))
+        assert [(e.request_id, e.vehicle_id) for e in got] \
+            == [(0, 100), (1, 101), (2, 102)]
+
     def test_deterministic(self):
         costs = {(r, 100 + v): (r * 7 + v * 3) % 10
                  for r in range(4) for v in range(4)}

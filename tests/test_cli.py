@@ -270,9 +270,9 @@ class TestSweep:
         assert [[r[i] for i in keep] for r in serial] \
             == [[r[i] for i in keep] for r in parallel]
 
-    def test_jobs_capped_at_run_count(self, tmp_path, monkeypatch):
-        # the pool starts all its workers at once, so it must never be
-        # asked for more than there are runs; this fake starts none
+    def serial_pool(self, monkeypatch):
+        """Replace the process pool by one that starts no process and
+        returns the ``max_workers`` it is asked for."""
         asked = []
 
         class SerialPool:
@@ -289,10 +289,43 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        return asked
+
+    def test_jobs_capped_at_run_count(self, tmp_path, monkeypatch):
+        # the pool starts all its workers at once, so it must never be
+        # asked for more than there are runs
+        asked = self.serial_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         path = self.write_spec(tmp_path, seeds=[1, 2])
         assert main(["sweep", "--config", str(path), "--out-dir",
                      str(tmp_path / "out"), "--jobs", "5000"]) == 0
         assert asked == [2]
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
+    def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch, cpus,
+                                      workers):
+        asked = self.serial_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        path = self.write_spec(tmp_path, seeds=[1, 2, 3, 4])
+        assert main(["sweep", "--config", str(path), "--out-dir",
+                     str(tmp_path / "out"), "--jobs", "5000"]) == 0
+        assert asked == [workers]
+
+    def test_run_count_checked_before_any_combination(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # 40,000 runs: only the base config may be built before the cap
+        built = []
+        real = cli.ScenarioConfig.from_dict
+        monkeypatch.setattr(cli.ScenarioConfig, "from_dict",
+                            staticmethod(lambda doc: built.append(doc)
+                                         or real(doc)))
+        path = self.write_spec(tmp_path, axes={
+            "fleet_size": list(range(1, 201)),
+            "flexibility_s": list(range(200))})
+        assert main(["sweep", "--config", str(path), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert "sweep would launch 40000 runs" in capsys.readouterr().err
+        assert len(built) <= 1
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
@@ -371,6 +404,12 @@ ONE_WAY_LINE = {"nodes": [{"id": n} for n in range(3)],
 SPARSE_LONG_PERIOD = {"demand": {"kind": "uniform",
                                  "requests_per_hour": 1.8e-8},
                       "loading_period_s": 10**12}
+
+
+# about 28,000 requests in 102 updates, over a loading period longer
+# than any bound numpy draws an arrival instant below
+HUGE_PERIOD = {"demand": {"kind": "uniform", "requests_per_hour": 1e-12},
+               "loading_period_s": 10**20, "update_interval_s": 10**18}
 
 
 def two_nodes(link_time):
@@ -500,6 +539,13 @@ BIG_FILE_NETWORK = {"network": {"kind": "file", "path": "big.json"}}
     ("validate", {"network": {"kind": "file", "path": "net.json"}},
      {"net.json": dict(ONE_WAY_LINE, links=[
          {"from": 0, "to": 1, "length_m": 10**400, "travel_time_s": 40}])}),
+    ("sweep", {"max_runs": cli.MAX_SWEEP_RUNS + 1}, {}),
+    ("sweep", {"axes": {"capacity": list(range(1, 201)),
+                        "fleet_size": list(range(1, 201))}}, {}),
+    ("validate", HUGE_PERIOD, {}),
+    ("run", HUGE_PERIOD, {}),
+    ("validate", {"demand": {"kind": "file", "path": "req.json"}},
+     {"req.json": {"requests": [5]}}),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
@@ -524,7 +570,10 @@ BIG_FILE_NETWORK = {"network": {"kind": "file", "path": "big.json"}}
         "sweep-grid-cols-beyond-cap", "validate-file-nodes-beyond-cap",
         "file-nodes-beyond-cap", "sweep-file-nodes-beyond-cap",
         "network-file-nested-too-deep", "request-file-integer-too-long",
-        "rate-beyond-float-range", "link-length-beyond-float-range"])
+        "rate-beyond-float-range", "link-length-beyond-float-range",
+        "sweep-max-runs-beyond-cap", "sweep-runs-beyond-max-runs",
+        "validate-random-period-beyond-draw-bound",
+        "random-period-beyond-draw-bound", "request-record-not-object"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     # no case may get as far as building a fleet, a grid or a network
@@ -590,3 +639,26 @@ def test_request_cap_draws_nothing(tmp_path, monkeypatch, capsys, command,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"more than the {sim.MAX_REQUESTS}" in err
     assert drawn == []
+
+
+def test_long_links_run_to_a_trip_log(tmp_path, monkeypatch):
+    # 100 vehicles at node 0 each price all 100 requests at 2**50 s, so
+    # the assignment's padding exceeds what an int64 matrix holds
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "net.json").write_text(json.dumps(two_nodes(2**50)))
+    (tmp_path / "req.json").write_text(json.dumps({"requests": [
+        {"t_r": 0, "origin": 0, "destination": 1}] * 100}))
+    path = tmp_path / "doc.json"
+    write_config(path, network={"kind": "file", "path": "net.json"},
+                 demand={"kind": "file", "path": "req.json"},
+                 fleet_size=100, flexibility_s=2**51,
+                 update_interval_s=10**10, matcher="baseline")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out-dir",
+                 str(tmp_path / "out")]) == 0
+    header, *rows = read_csv(tmp_path / "out" / "trip_log.csv")
+    col = {name: k for k, name in enumerate(header)}
+    assert len(rows) == 100
+    assert all(r[col["status"]] == "served"
+               and int(r[col["dropoff_t"]]) <= int(r[col["l_r"]])
+               for r in rows)

@@ -523,6 +523,24 @@ class TestSplitMergeCost:
                 assert arr is not None  # independent revalidation
         assert feasible_seen >= 10
 
+    def test_recipient_cannot_reach_donor_block(self):
+        # links 0 -> 1 and 1 <-> 2: nothing leads back to 0, where the
+        # donor's first block starts, so that leg is missing from 1
+        net = RoadNetwork(range(3), [Link(0, 1, 400.0, 40),
+                                     Link(1, 2, 400.0, 40),
+                                     Link(2, 1, 400.0, 40)])
+        r1 = make_request(1, 0, 0, 2, 600, net)
+        r2 = make_request(2, 0, 1, 2, 600, net)
+        donor = make_vehicle(1, 0, tour=(pickup(r1), dropoff(r1)))
+        recipient = make_vehicle(2, 1, tour=(pickup(r2), dropoff(r2)))
+        plan = split_merge_cost(net, 0, donor, recipient)
+        cands = all_block_merges(recipient.tour, *split_tour(donor.tour))
+        oracle_cost, _ = best_plan(travel_times(net), 0, recipient.location,
+                                   0, cands, 0, recipient.capacity,
+                                   windows_of([r1, r2]))
+        assert oracle_cost is None
+        assert plan == INFEASIBLE
+
     def test_tie_keeps_first_block_merge(self, grid3):
         rng = random.Random(78)
         times = travel_times(grid3)

@@ -10,8 +10,8 @@ import pytest
 from ridematch.metrics import compute_metrics
 from ridematch.model import SERVED
 from ridematch.network import Link, RoadNetwork
-from ridematch.sim import (MAX_FLEET_SIZE, MAX_NODES, MAX_REQUESTS,
-                           MAX_UPDATES, ConfigError,
+from ridematch.sim import (MAX_FLEET_SIZE, MAX_LOADING_PERIOD_S,
+                           MAX_NODES, MAX_REQUESTS, MAX_UPDATES, ConfigError,
                            ScenarioConfig, SimulationState, advance,
                            build_network, check_demand_bounds,
                            check_demand_reachability,
@@ -220,6 +220,22 @@ class TestDemand:
         with pytest.raises(ConfigError, match="updates of 30 s"):
             check_demand_bounds(config(fits + 1), grid3)
         check_demand_bounds(config(10**12, rate=0), grid3)
+
+    def test_random_demand_period_is_drawable(self, grid3):
+        # numpy draws an arrival instant below 2**63 and no higher bound;
+        # with no demand at all nothing is drawn
+        def config(period, rate=1e-14):
+            return ScenarioConfig.from_dict(minimal_doc(
+                loading_period_s=period, update_interval_s=10**16,
+                demand={"kind": "uniform", "requests_per_hour": rate}))
+
+        assert MAX_LOADING_PERIOD_S == 2**63
+        demand = generate_demand(config(2**63), grid3,
+                                 np.random.default_rng(3))
+        assert demand and all(0 <= r.t_r < 2**63 for r in demand)
+        with pytest.raises(ConfigError, match="loading_period_s must be"):
+            check_demand_bounds(config(2**63 + 1), grid3)
+        check_demand_bounds(config(10**20, rate=0), grid3)
 
     def test_poisson_period_counts_its_longest_route(self, skew3):
         # skew3: 0 -> 8 takes 160 s, 8 -> 0 320 s; a pair with no rate
