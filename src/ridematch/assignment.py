@@ -66,8 +66,13 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
     vehicle's and each request's side of the search is built once; a
     fresh one unless ``context`` is given.  A given context may come from
     earlier rounds of the same update instant, as long as every vehicle
-    whose tour changed since was forgotten: its sides and its infeasible
-    verdicts then carry over.
+    whose tour changed since was forgotten: its sides then carry over.
+    Its store of infeasible verdicts may also come from earlier updates.
+    A verdict holds until its vehicle is forgotten: when a round commits
+    a request to it, a merge makes it a donor or a recipient, or it
+    drops a rider off (``advance``).  In between, a vehicle only moves
+    along shortest legs and picks riders up, which makes no plan reach
+    a stop sooner and leaves the seat test and the search shape alone.
     """
     edges: list[Edge] = []
     feasible_sets: dict[int, tuple[int, ...]] = {}

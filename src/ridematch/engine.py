@@ -86,7 +86,9 @@ def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
 
 
 def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
-                    vehicles: Sequence[Vehicle]) -> UpdateOutcome:
+                    vehicles: Sequence[Vehicle],
+                    infeasible: dict[int, set[int]] | None = None,
+                    ) -> UpdateOutcome:
     """Two-step matching at update time ``t``.
 
     Each pass assigns at most one new request per vehicle, then the merge
@@ -94,17 +96,23 @@ def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
     pick up more requests on the next pass.  Stops when every pending
     request is matched or no priced edge remains.
 
-    One ``PricingContext`` serves every pass of the update.  Only a
-    commit or a merge changes what pricing reads at one instant, and both
-    replace the vehicle's tour, so forgetting those vehicles keeps every
-    other vehicle's side and its infeasible verdicts exact for the next
-    pass.  The context is dropped when the update ends: ``advance`` moves
-    vehicles without replacing their tours.
+    One ``PricingContext`` serves every pass of the update, on the store
+    of infeasible verdicts ``infeasible`` (vehicle id -> request ids;
+    a fresh one when None).  Only a commit or a merge changes what
+    pricing reads at one instant, and both replace the vehicle's tour, so
+    forgetting those vehicles keeps every other vehicle's side and its
+    verdicts exact for the next pass.  The sides are dropped when the
+    update ends, since ``advance`` moves the fleet.  The verdicts may
+    serve later updates: ``advance`` only moves a vehicle along shortest
+    legs and pops executed stops, so no later plan reaches a stop sooner,
+    and a pickup changes neither the seat test nor the search shape.  A
+    dropoff can change both, so ``advance`` forgets the vehicle there,
+    and ``run_scenario`` drops the requests that leave ``pending``.
     """
     outcome = UpdateOutcome()
     remaining = _begin_update(t, pending, outcome)
     feasible_index: dict[int, tuple[int, ...]] = {}
-    context = PricingContext(net)
+    context = PricingContext(net, infeasible)
     while remaining:
         graph = _assignment_round(net, t, remaining, vehicles, outcome,
                                   context)
@@ -124,13 +132,16 @@ def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
 
 
 def baseline_update(net: RoadNetwork, t: int, pending: Sequence[Request],
-                    vehicles: Sequence[Vehicle]) -> UpdateOutcome:
-    """Single assignment round: one new request per vehicle per update."""
+                    vehicles: Sequence[Vehicle],
+                    infeasible: dict[int, set[int]] | None = None,
+                    ) -> UpdateOutcome:
+    """Single assignment round: one new request per vehicle per update.
+    ``infeasible`` is the store of verdicts, as for ``gmomatch_update``."""
     outcome = UpdateOutcome()
     remaining = _begin_update(t, pending, outcome)
     if remaining:
         _assignment_round(net, t, remaining, vehicles, outcome,
-                          PricingContext(net))
+                          PricingContext(net, infeasible))
     outcome.deferred = [r.id for r in remaining if r.status == PENDING]
     return outcome
 

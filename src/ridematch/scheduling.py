@@ -16,13 +16,23 @@ order's legs spell the winning tour.  An insertion search joins two
 sides: the vehicle's (a unit per tour stop and the precedence list) and
 the request's (its pickup unit and its dropoff unit).  A
 ``PricingContext`` builds each side the first time a ``path_cost`` call
-needs it and keeps a verdict for every pair it found infeasible, which
-answers that pair again at once.  ``gmomatch_update`` keeps one context
-for one update, across all its assignment rounds, and forgets each
-vehicle whose tour a commit or a merge replaces: at one update instant
-nothing else changes what pricing reads.  An empty tour has one plan,
-the pair, which ``path_cost`` prices in closed form at the search's
-cost.
+needs it, and records a verdict for every pair it found infeasible in a
+store of verdicts, which answers that pair again at once.  A matcher
+keeps one context for one update, across all its assignment rounds; the
+sides go with it, since moving the fleet moves every vehicle.  The
+store outlives the update: ``run_scenario`` keeps one for the whole run.
+A verdict stays exact until its vehicle's tour is replaced or the
+vehicle drops a rider off.  Between updates ``advance`` only moves a
+vehicle along shortest legs and pops the stops it executes, so every
+plan from the later state is one the earlier state could run too,
+reaching each stop no earlier; a pickup leaves ``occupants``, and so
+the seat test and the search shape, as they were.  A dropoff frees a
+seat and may switch keep-order insertion to full re-ordering.  So a
+vehicle's verdicts are forgotten when a round commits a request to it,
+when a merge makes it a donor or a recipient, and at each of its
+dropoffs; a request's verdicts go when it is finalized or expires.  An
+empty tour has one plan, the pair, which ``path_cost`` prices in closed
+form at the search's cost.
 
 Legs are shortest paths, so no tour reaches a stop sooner than straight
 from where the vehicle is.  That gives two exact cuts.  Before any leg is
@@ -113,20 +123,25 @@ class PricingContext:
     sides of the search, each built the first time a ``path_cost`` call
     needs it, and the verdicts of the pairs found infeasible.
 
-    Everything is keyed by vehicle and request id, so a context is valid
+    Everything is keyed by vehicle and request id.  The sides are valid
     on one network at one update instant, and only for a vehicle whose
-    tour has not changed since it was first priced.  Whoever changes a
-    tour calls ``forget`` with its vehicle: ``gmomatch_update`` keeps one
-    context for all its rounds and forgets each vehicle a round commits
-    to or a merge changes, then drops the context when the update ends.
+    tour has not changed since it was first priced.  The verdicts live
+    in ``infeasible``, a store that may be handed in and outlive the
+    context: a verdict holds until its vehicle's tour is replaced or the
+    vehicle drops a rider off, whatever the instant.  Whoever replaces a
+    tour calls ``forget`` with its vehicle: a matcher keeps one context
+    for all the rounds of an update and forgets each vehicle a round
+    commits to or a merge changes; ``advance`` drops a vehicle's verdicts
+    at each dropoff.  A fresh store unless ``infeasible`` is given.
     """
 
-    def __init__(self, net: RoadNetwork):
+    def __init__(self, net: RoadNetwork,
+                 infeasible: dict[int, set[int]] | None = None):
         self.net = net
         self._vehicles: dict[int, _VehicleSide] = {}
         self._requests: dict[int, tuple[Unit, Unit]] = {}
         # vehicle id -> ids of the requests it cannot serve
-        self.infeasible: dict[int, set[int]] = {}
+        self.infeasible = {} if infeasible is None else infeasible
 
     def forget(self, vehicle_ids: Iterable[int]) -> None:
         """Drop the side and the verdicts of vehicles whose tour changed."""
@@ -175,8 +190,9 @@ def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
     slot, dropoff slot) order.  Ties keep the first candidate.  An empty
     tour has one plan, the pair, priced in closed form.  ``context``
     shares the vehicle's and the request's sides of the search across
-    the calls of one update instant, and answers a pair it has already
-    found infeasible at once; the result is the same without it.
+    the calls of one update instant, and answers a pair its store has
+    found infeasible, at this instant or an earlier one, at once; the
+    result is the same without it.
     """
     if context is None:
         context = PricingContext(net)

@@ -55,9 +55,10 @@ def test_update_records_expose_traced_fields():
 
 @pytest.mark.parametrize("matcher", sorted(engine.MATCHERS))
 def test_matchers_take_pending_third(monkeypatch, matcher):
-    """Every matcher call is ``(net, t, pending, vehicles)``, positional,
-    and ``args[2]`` is the pending list ``run_scenario`` hands over:
-    ``bench/worker.py`` counts busy updates by its truth value."""
+    """Every matcher call is ``(net, t, pending, vehicles, infeasible)``,
+    positional, and ``args[2]`` is the pending list ``run_scenario``
+    hands over: ``bench/worker.py`` forwards positional arguments only
+    and counts busy updates by its truth value."""
     calls = []
     for name, fn in list(engine.MATCHERS.items()):
         def spy(*args, _fn=fn, **kwargs):
@@ -70,7 +71,7 @@ def test_matchers_take_pending_third(monkeypatch, matcher):
     result = run_scenario(example_config(loading_period_s=300, fleet_size=5,
                                          matcher=matcher))
     assert len(calls) == len(result.update_records)
-    assert all(n_args == 4 and not kwargs and all_pending
+    assert all(n_args == 5 and not kwargs and all_pending
                for n_args, kwargs, _, all_pending in calls)
     # every request pending at entry is finalized, expired or deferred
     assert [n for _, _, n, _ in calls] == [

@@ -1,12 +1,17 @@
 import random
 
-from ridematch import assignment, engine
+import pytest
+
+from ridematch import assignment, engine, scheduling
 from ridematch.engine import baseline_update, gmomatch_update
-from ridematch.model import ASSIGNED, DROPOFF, EXPIRED, PENDING, PICKUP
-from ridematch.sim import commuter_config, run_scenario
+from ridematch.model import (ASSIGNED, DROPOFF, EXPIRED, ONBOARD, PENDING,
+                             PICKUP)
+from ridematch.scheduling import PricingContext
+from ridematch.sim import (SimulationState, advance, commuter_config,
+                           example_config, run_scenario)
 from ridematch.vehicle_graph import donor_eligible
 
-from conftest import make_request, make_vehicle, pickups
+from conftest import dropoff, make_request, make_vehicle, pickups
 from instance_gen import random_request
 
 
@@ -167,3 +172,113 @@ class TestSharedPricingContext:
         assert not any(reused)
         assert len(reused) == calls  # the same pairs were priced
         assert fresh.trip_records == shared.trip_records
+
+
+# overloaded scenarios whose pending requests outlive several updates
+CARRY_SCENARIOS = (commuter_config(), example_config(fleet_size=5),
+                   example_config(loading_period_s=300))
+
+
+def run_checking_verdicts(monkeypatch, config):
+    """Run ``config`` on the carried store of verdicts.  Every pair
+    answered from a verdict is re-priced fresh through
+    ``scheduling._priced`` and must be infeasible.  Returns the result,
+    the number of those pairs whose verdict came from an earlier update,
+    and the request ids the store held at each matcher entry beyond the
+    pending ones."""
+    at_entry: set[tuple[int, int]] = set()
+    stray: list[set[int]] = []
+    carried = 0
+    with monkeypatch.context() as m:
+        for name, fn in list(engine.MATCHERS.items()):
+            def entry(net, t, pending, vehicles, infeasible, _fn=fn):
+                at_entry.clear()
+                at_entry.update((vid, rid) for vid, rids in infeasible.items()
+                                for rid in rids)
+                stray.append({rid for _, rid in at_entry}
+                             - {r.id for r in pending})
+                return _fn(net, t, pending, vehicles, infeasible)
+            m.setitem(engine.MATCHERS, name, entry)
+        real_path_cost = assignment.path_cost
+
+        def spy(net, t, veh, req, context):
+            nonlocal carried
+            if req.id in context.infeasible.get(veh.id, ()):
+                carried += (veh.id, req.id) in at_entry
+                fresh = scheduling._priced(net, t, veh, req,
+                                           PricingContext(net))
+                assert not fresh.feasible, (t, veh.id, req.id)
+            return real_path_cost(net, t, veh, req, context)
+
+        m.setattr(assignment, "path_cost", spy)
+        result = run_scenario(config)
+    return result, carried, stray
+
+
+def run_fresh_store_per_update(monkeypatch, config):
+    with monkeypatch.context() as m:
+        for name, fn in list(engine.MATCHERS.items()):
+            m.setitem(engine.MATCHERS, name,
+                      lambda net, t, pending, vehicles, infeasible, _fn=fn:
+                      _fn(net, t, pending, vehicles))
+        return run_scenario(config)
+
+
+class TestCarriedVerdicts:
+    @pytest.mark.parametrize("update", [gmomatch_update, baseline_update])
+    def test_dropoff_reopens_a_pair(self, line_net, update):
+        # a cab at node 0 carries three riders, so it keeps their order
+        # and only inserts a new pair: A to node 1 (reached at 60), C to
+        # node 4 (due by 600) and then D to node 2 (due by 400).  Rider B
+        # rides 3 -> 2, picked up by 200 and dropped by 260: in that
+        # order D or B is always late.  Dropping A off leaves two riders,
+        # whose stops are then re-ordered: D at 120, B from 180 to 240,
+        # then C at 360.  So the verdict found at t = 0 carries to t = 30,
+        # and the dropoff at 60 must forget it
+        a = make_request(1, 0, 0, 1, 540, line_net)
+        c = make_request(3, 0, 0, 4, 360, line_net)
+        d = make_request(4, 0, 0, 2, 280, line_net)
+        b = make_request(2, 0, 3, 2, 200, line_net)
+        for rider in (a, c, d):
+            rider.status = ONBOARD
+        veh = make_vehicle(0, 0, tour=(dropoff(a), dropoff(c), dropoff(d)),
+                           onboard={1, 3, 4})
+        state = SimulationState(net=line_net, vehicles=[veh],
+                                requests=[a, b, c, d],
+                                requests_by_id={1: a, 2: b, 3: c, 4: d},
+                                pending=[b])
+        for t in (0, 30):
+            out = update(line_net, t, state.pending, state.vehicles,
+                         state.infeasible)
+            assert out.deferred == [2]
+            assert state.infeasible == {0: {2}}
+            advance(state, t + 30)
+        assert a.dropoff_t == 60 and state.infeasible == {}
+        out = update(line_net, 60, state.pending, state.vehicles,
+                     state.infeasible)
+        assert out.finalized == [2] and b.assign_t == 60
+        assert [(s.request_id, s.kind) for s in veh.tour] == [
+            (4, DROPOFF), (2, PICKUP), (2, DROPOFF), (3, DROPOFF)]
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("matcher", sorted(engine.MATCHERS))
+    def test_carried_verdicts_equal_fresh_pricing(self, monkeypatch,
+                                                  matcher, capacity):
+        # every verdict that answers a pair re-prices as infeasible, and
+        # the trip log is the one a fresh store per update gives
+        carried = 0
+        for scenario in CARRY_SCENARIOS:
+            config = scenario.replace(matcher=matcher, capacity=capacity)
+            result, n, _ = run_checking_verdicts(monkeypatch, config)
+            carried += n
+            fresh = run_fresh_store_per_update(monkeypatch, config)
+            assert result.trip_records == fresh.trip_records
+        assert carried  # some verdicts came from an earlier update
+
+    @pytest.mark.parametrize("matcher", sorted(engine.MATCHERS))
+    def test_store_holds_only_pending_requests(self, monkeypatch, matcher):
+        config = commuter_config(matcher=matcher)
+        result, carried, stray = run_checking_verdicts(monkeypatch, config)
+        assert carried and len(stray) == len(result.update_records)
+        assert not any(stray)
+        assert not any(result.state.infeasible.values())

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridematch.assignment import feasible_vehicles
-from ridematch.model import DROPOFF, PICKUP, Request, Stop
+from ridematch.model import ASSIGNED, DROPOFF, PENDING, PICKUP, Request, Stop
 from ridematch.network import Link, RoadNetwork
 from ridematch.scheduling import (INFEASIBLE, PricingContext, evaluate_tour,
                                   path_cost, split_merge_cost, split_tour)
+from ridematch.sim import SimulationState, advance
 
 from conftest import dropoff, make_request, make_vehicle, pickup
 from instance_gen import (donor_vehicle, random_request, vehicle_with_plan,
@@ -403,6 +404,50 @@ class TestPricingBounds:
                     context.forget(changed)
         # the untouched vehicles answered later rounds from verdicts
         assert reused["full"] and reused["insertion"], reused
+
+    def test_carried_verdicts_change_nothing_across_advance(self, grid3,
+                                                            skew3):
+        # one store of verdicts across updates, as run_scenario keeps it,
+        # with the fleet advanced in between: riders are picked up and
+        # dropped off, and each dropoff forgets its vehicle.  Every
+        # pricing on a context over the carried store equals a fresh one
+        rng = random.Random(17)
+        carried = forgotten = 0
+        for net in (grid3, skew3):
+            vehicles, riders = [], []
+            for vid, n in enumerate((0, 1, 2, 3, 3, 4)):
+                if not n:
+                    vehicles.append(make_vehicle(
+                        vid, rng.choice(range(len(net.nodes)))))
+                    continue
+                veh, reqs = vehicle_with_plan(rng, net, n, capacity=6,
+                                              vid=vid, base_rid=100 * vid,
+                                              max_tries=2000)
+                for r in reqs:
+                    if r.status == PENDING:
+                        r.status = ASSIGNED
+                vehicles.append(veh)
+                riders += reqs
+            requests = [random_request(rng, net, rid, t=0,
+                                       flex_range=(200, 420))
+                        for rid in range(12)]
+            state = SimulationState(
+                net=net, vehicles=vehicles, requests=riders + requests,
+                requests_by_id={r.id: r for r in riders + requests})
+            for t in range(0, 240, 30):
+                held = {(vid, rid) for vid, rids in state.infeasible.items()
+                        for rid in rids}
+                context = PricingContext(net, state.infeasible)
+                for req in requests:
+                    for veh in vehicles:
+                        plan = path_cost(net, t, veh, req)
+                        carried += (veh.id, req.id) in held
+                        assert path_cost(net, t, veh, req, context) == plan
+                had = set(state.infeasible)
+                advance(state, t + 30)
+                forgotten += len(had - set(state.infeasible))
+        # verdicts served later updates, and dropoffs forgot some
+        assert carried and forgotten, (carried, forgotten)
 
     def test_one_second_win_survives_the_cuts(self):
         # one-way links: 0->1 10 s, 0->2 19 s, 1->2 10 s, 2->1 5 s, 1->3
