@@ -62,17 +62,8 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
     """Price every candidate request/vehicle pair at update time ``t``.
 
     Requests are priced, and each request's candidate vehicles listed, in
-    id order.  One ``PricingContext`` serves the whole call, so each
-    vehicle's and each request's side of the search is built once; a
-    fresh one unless ``context`` is given.  A given context may come from
-    earlier rounds of the same update instant, as long as every vehicle
-    whose tour changed since was forgotten: its sides then carry over.
-    Its store of infeasible verdicts may also come from earlier updates.
-    A verdict holds until its vehicle is forgotten: when a round commits
-    a request to it, a merge makes it a donor or a recipient, or it
-    drops a rider off (``advance``).  In between, a vehicle only moves
-    along shortest legs and picks riders up, which makes no plan reach
-    a stop sooner and leaves the seat test and the search shape alone.
+    id order, through ``context``, which may carry sides and verdicts
+    from earlier calls; a fresh ``PricingContext`` when None.
     """
     edges: list[Edge] = []
     feasible_sets: dict[int, tuple[int, ...]] = {}
@@ -101,15 +92,16 @@ def solve_assignment(graph: BipartiteGraph) -> list[Edge]:
     The rectangular problem is squared up with a prohibitive cost larger
     than the sum of all real edge costs, which makes leaving a matchable
     request unmatched strictly worse than any feasible pairing.  It is
-    float64, as the solver computes, so it never overflows.  Returns the
-    chosen edges sorted by request id.
+    float64, as the solver computes, so it never overflows; it is twice
+    the sum plus 2, since past 2**53 the sum plus 2 rounds to the sum.
+    Returns the chosen edges sorted by request id.
     """
     if not graph.edges:
         return []
     row_of = {rid: i for i, rid in enumerate(graph.requests)}
     col_of = {vid: j for j, vid in enumerate(graph.vehicles)}
     n = max(len(graph.requests), len(graph.vehicles))
-    prohibitive = sum(e.cost for e in graph.edges) + 2
+    prohibitive = 2 * sum(e.cost for e in graph.edges) + 2
     cost = np.full((n, n), prohibitive, dtype=np.float64)
     edge_at: dict[tuple[int, int], Edge] = {}
     for e in graph.edges:

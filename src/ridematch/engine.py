@@ -54,13 +54,12 @@ def _begin_update(t: int, pending: Sequence[Request],
 
 def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
                       vehicles: Sequence[Vehicle], outcome: UpdateOutcome,
-                      context: PricingContext) -> BipartiteGraph:
+                      context: PricingContext | None) -> BipartiteGraph:
     """Price, solve and commit one assignment round; return the priced
     graph.  A graph with an edge always yields at least one match.
 
     A matched vehicle adopts the priced tour and is pinned to depart no
     earlier than ``t``, so the realized schedule equals the priced one.
-    ``context`` prices the round and then forgets every matched vehicle.
     """
     t0 = time.perf_counter()
     graph = build_bipartite(net, t, remaining, vehicles, context)
@@ -81,38 +80,26 @@ def _assignment_round(net: RoadNetwork, t: int, remaining: Sequence[Request],
         req.set_status(ASSIGNED)
         req.assign_t = t
         outcome.finalized.append(req.id)
-    context.forget(edge.vehicle_id for edge in matches)
     return graph
 
 
 def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
                     vehicles: Sequence[Vehicle],
-                    infeasible: dict[int, set[int]] | None = None,
-                    ) -> UpdateOutcome:
+                    context: PricingContext | None = None) -> UpdateOutcome:
     """Two-step matching at update time ``t``.
 
     Each pass assigns at most one new request per vehicle, then the merge
     stage frees vehicles by combining compatible plans; freed vehicles can
     pick up more requests on the next pass.  Stops when every pending
-    request is matched or no priced edge remains.
-
-    One ``PricingContext`` serves every pass of the update, on the store
-    of infeasible verdicts ``infeasible`` (vehicle id -> request ids;
-    a fresh one when None).  Only a commit or a merge changes what
-    pricing reads at one instant, and both replace the vehicle's tour, so
-    forgetting those vehicles keeps every other vehicle's side and its
-    verdicts exact for the next pass.  The sides are dropped when the
-    update ends, since ``advance`` moves the fleet.  The verdicts may
-    serve later updates: ``advance`` only moves a vehicle along shortest
-    legs and pops executed stops, so no later plan reaches a stop sooner,
-    and a pickup changes neither the seat test nor the search shape.  A
-    dropoff can change both, so ``advance`` forgets the vehicle there,
-    and ``run_scenario`` drops the requests that leave ``pending``.
+    request is matched or no priced edge remains.  Every pass prices
+    through ``context``, the run's ``PricingContext``; a fresh one when
+    None.
     """
     outcome = UpdateOutcome()
     remaining = _begin_update(t, pending, outcome)
     feasible_index: dict[int, tuple[int, ...]] = {}
-    context = PricingContext(net, infeasible)
+    if context is None:
+        context = PricingContext(net)
     while remaining:
         graph = _assignment_round(net, t, remaining, vehicles, outcome,
                                   context)
@@ -120,7 +107,7 @@ def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
         if not graph.edges:
             break
         stats = step2_loop(net, t, vehicles, set(outcome.finalized),
-                           feasible_index, context)
+                           feasible_index)
         outcome.step2_rounds += stats.rounds
         outcome.step2_merges += stats.merges
         outcome.step2_calls.append((stats.rounds, stats.initial_assigned))
@@ -133,15 +120,13 @@ def gmomatch_update(net: RoadNetwork, t: int, pending: Sequence[Request],
 
 def baseline_update(net: RoadNetwork, t: int, pending: Sequence[Request],
                     vehicles: Sequence[Vehicle],
-                    infeasible: dict[int, set[int]] | None = None,
-                    ) -> UpdateOutcome:
-    """Single assignment round: one new request per vehicle per update.
-    ``infeasible`` is the store of verdicts, as for ``gmomatch_update``."""
+                    context: PricingContext | None = None) -> UpdateOutcome:
+    """Single assignment round: one new request per vehicle per update,
+    priced through ``context`` as for ``gmomatch_update``."""
     outcome = UpdateOutcome()
     remaining = _begin_update(t, pending, outcome)
     if remaining:
-        _assignment_round(net, t, remaining, vehicles, outcome,
-                          PricingContext(net, infeasible))
+        _assignment_round(net, t, remaining, vehicles, outcome, context)
     outcome.deferred = [r.id for r in remaining if r.status == PENDING]
     return outcome
 

@@ -14,23 +14,11 @@ carries its stop with what the search reads of it: the travel times
 into its node, the node, its deadline and its load change, so the best
 order's legs spell the winning tour.  An insertion search joins two
 sides: the vehicle's (a unit per tour stop and the precedence list) and
-the request's (its pickup unit and its dropoff unit).  A
-``PricingContext`` builds each side the first time a ``path_cost`` call
-needs it, and records a verdict for every pair it found infeasible in a
-store of verdicts, which answers that pair again at once.  A matcher
-keeps one context for one update, across all its assignment rounds; the
-sides go with it, since moving the fleet moves every vehicle.  The
-store outlives the update: ``run_scenario`` keeps one for the whole run.
-A verdict stays exact until its vehicle's tour is replaced or the
-vehicle drops a rider off.  Between updates ``advance`` only moves a
-vehicle along shortest legs and pops the stops it executes, so every
-plan from the later state is one the earlier state could run too,
-reaching each stop no earlier; a pickup leaves ``occupants``, and so
-the seat test and the search shape, as they were.  A dropoff frees a
-seat and may switch keep-order insertion to full re-ordering.  So a
-vehicle's verdicts are forgotten when a round commits a request to it,
-when a merge makes it a donor or a recipient, and at each of its
-dropoffs; a request's verdicts go when it is finalized or expires.  An
+the request's (its pickup unit and its dropoff unit).  One
+``PricingContext`` per run builds each side the first time a
+``path_cost`` call needs it and records a verdict for every pair it
+found infeasible, which answers that pair again at once.  It alone
+decides when what it keeps goes stale: see ``PricingContext``.  An
 empty tour has one plan, the pair, which ``path_cost`` prices in closed
 form at the search's cost.
 
@@ -50,7 +38,7 @@ and the first optimum in enumeration order still wins.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import DROPOFF, PICKUP, Request, Stop, Tour, Vehicle
 from .network import RoadNetwork
@@ -108,50 +96,77 @@ def search_unit(net: RoadNetwork, stops: Sequence[Stop]) -> Unit:
 EXHAUSTIVE_REQUEST_LIMIT = 2
 
 
-class _VehicleSide(NamedTuple):
-    """A vehicle's half of every insertion search: a unit per tour stop
-    and the ``after`` list of the joined search, in which the request's
-    pickup and dropoff units follow the tour's when ``tour_first``."""
+# a vehicle's half of every insertion search: whether the request's
+# pickup and dropoff units follow the tour's, a unit per tour stop, and
+# the ``after`` list of the joined search
+Side = tuple[bool, tuple[Unit, ...], list[int]]
 
-    tour_first: bool
-    units: tuple[Unit, ...]
-    after: list[int]
+
+class _Vehicle:
+    """A context's record of one vehicle, valid while its tour is
+    ``tour``: that tour's rider ids, the vehicle's side of the search
+    (None until first needed) and the ids of the requests it cannot
+    serve."""
+
+    __slots__ = ("tour", "riders", "side", "infeasible")
+
+    def __init__(self, tour: Tour):
+        self.tour = tour
+        # every rider, aboard or awaited, has a stop in the tour
+        self.riders = frozenset(s.request_id for s in tour)
+        self.side: Side | None = None
+        self.infeasible: set[int] = set()
 
 
 class PricingContext:
-    """What the insertion searches of one update instant share: both
-    sides of the search, each built the first time a ``path_cost`` call
-    needs it, and the verdicts of the pairs found infeasible.
+    """What the insertion searches of a run share on one network: each
+    request's side of the search, and for each vehicle a record of the
+    tour it last priced, that tour's riders, the vehicle's side and the
+    verdicts of the pairs it found infeasible.
 
-    Everything is keyed by vehicle and request id.  The sides are valid
-    on one network at one update instant, and only for a vehicle whose
-    tour has not changed since it was first priced.  The verdicts live
-    in ``infeasible``, a store that may be handed in and outlive the
-    context: a verdict holds until its vehicle's tour is replaced or the
-    vehicle drops a rider off, whatever the instant.  Whoever replaces a
-    tour calls ``forget`` with its vehicle: a matcher keeps one context
-    for all the rounds of an update and forgets each vehicle a round
-    commits to or a merge changes; ``advance`` drops a vehicle's verdicts
-    at each dropoff.  A fresh store unless ``infeasible`` is given.
+    Everything is keyed by id, and the context checks each vehicle
+    against its record, so no caller ever tells it what changed.  A
+    record holds while the vehicle's tour ``is`` the recorded one; any
+    other tour rebuilds it, dropping the side and keeping the verdicts
+    only when every recorded rider is still in the new tour.  So a
+    verdict holds while no rider has left the vehicle since pricing last
+    looked at it.  Between looks a vehicle only moves along shortest
+    legs, pops stops in tour order, and gains riders (a commit, a merge
+    recipient) or loses them (a dropoff, a donor).  With every old rider
+    still planned, take any later plan, delete its new riders' stops and
+    put the stops executed since in front: the earlier search tried that
+    plan, since ``occupants`` (the seat test and the search shape) is no
+    smaller and a keep-order tour keeps its order, and it reaches every
+    stop no later.  The empty tour ``()`` is one shared object, so an
+    idle vehicle keeps its record; its verdicts hold by the same rule,
+    with no riders, and the triangle inequality.  ``retire`` drops the
+    requests that left pending.
     """
 
-    def __init__(self, net: RoadNetwork,
-                 infeasible: dict[int, set[int]] | None = None):
+    def __init__(self, net: RoadNetwork):
         self.net = net
-        self._vehicles: dict[int, _VehicleSide] = {}
+        self._vehicles: dict[int, _Vehicle] = {}
         self._requests: dict[int, tuple[Unit, Unit]] = {}
-        # vehicle id -> ids of the requests it cannot serve
-        self.infeasible = {} if infeasible is None else infeasible
 
-    def forget(self, vehicle_ids: Iterable[int]) -> None:
-        """Drop the side and the verdicts of vehicles whose tour changed."""
-        for vid in vehicle_ids:
-            self._vehicles.pop(vid, None)
-            self.infeasible.pop(vid, None)
+    def _record(self, vehicle: Vehicle) -> _Vehicle:
+        record = self._vehicles.get(vehicle.id)
+        if record is None or record.tour is not vehicle.tour:
+            new = self._vehicles[vehicle.id] = _Vehicle(vehicle.tour)
+            if record is not None and record.riders <= new.riders:
+                new.infeasible = record.infeasible
+            record = new
+        return record
 
-    def vehicle_side(self, vehicle: Vehicle) -> _VehicleSide:
-        side = self._vehicles.get(vehicle.id)
-        if side is None:
+    def retire(self, request_ids: Sequence[int]) -> None:
+        """Drop the sides and verdicts of requests that left pending."""
+        for rid in request_ids:
+            self._requests.pop(rid, None)
+        for record in self._vehicles.values():
+            record.infeasible.difference_update(request_ids)
+
+    def vehicle_side(self, vehicle: Vehicle) -> Side:
+        record = self._record(vehicle)
+        if record.side is None:
             tour = vehicle.tour
             units = tuple(search_unit(self.net, (s,)) for s in tour)
             # every rider has a stop in the tour, so this counts its
@@ -162,11 +177,10 @@ class PricingContext:
                              if s.kind == PICKUP}
                 after = [-1 if s.kind == PICKUP
                          else pickup_at.get(s.request_id, -1) for s in tour]
-                side = _VehicleSide(True, units, after + [-1, len(tour)])
+                record.side = (True, units, after + [-1, len(tour)])
             else:
-                side = _VehicleSide(False, units, _chained(2, len(tour)))
-            self._vehicles[vehicle.id] = side
-        return side
+                record.side = (False, units, _chained(2, len(tour)))
+        return record.side
 
     def request_side(self, request: Request) -> tuple[Unit, Unit]:
         side = self._requests.get(request.id)
@@ -189,18 +203,17 @@ def path_cost(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
     insertion of the new pickup/dropoff pair, tried in ascending (pickup
     slot, dropoff slot) order.  Ties keep the first candidate.  An empty
     tour has one plan, the pair, priced in closed form.  ``context``
-    shares the vehicle's and the request's sides of the search across
-    the calls of one update instant, and answers a pair its store has
-    found infeasible, at this instant or an earlier one, at once; the
-    result is the same without it.
+    shares both sides of the search across calls and answers a pair it
+    has found infeasible at once; the result is the same without it.
     """
     if context is None:
         context = PricingContext(net)
-    elif request.id in context.infeasible.get(vehicle.id, ()):
+    verdicts = context._record(vehicle).infeasible
+    if request.id in verdicts:
         return INFEASIBLE
     plan = _priced(net, t, vehicle, request, context)
     if not plan.feasible:
-        context.infeasible.setdefault(vehicle.id, set()).add(request.id)
+        verdicts.add(request.id)
     return plan
 
 

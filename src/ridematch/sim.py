@@ -25,6 +25,7 @@ from .model import (ONBOARD, PENDING, SERVED, PICKUP, Request, Vehicle,
 from .network import (MAX_NODES, Field, NetworkFormatError, RoadNetwork,
                       check_fields, check_records, grid_network,
                       load_network, read_json)
+from .scheduling import PricingContext
 
 
 class ConfigError(ValueError):
@@ -300,9 +301,11 @@ class SimulationState:
     clock: int = 0
     pending: list[Request] = field(default_factory=list)
     update_records: list[dict] = field(default_factory=list)
-    # the run's infeasible pricing verdicts, vehicle id -> request ids,
-    # which the matcher reads and records; see scheduling.PricingContext
-    infeasible: dict[int, set[int]] = field(default_factory=dict)
+    # the run's pricing state, which every matcher call prices through
+    context: PricingContext = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.context = PricingContext(self.net)
 
 
 def advance(state: SimulationState, until: int) -> None:
@@ -312,8 +315,7 @@ def advance(state: SimulationState, until: int) -> None:
     lengths accumulate on the odometer.  On return any vehicle still
     holding stops is strictly in transit (its next arrival is after
     ``until``).  A committed plan that overfills a vehicle, misses a
-    window, has no route or strands riders raises RuntimeError.  A
-    dropoff frees a seat, so it forgets the vehicle's infeasible verdicts.
+    window, has no route or strands riders raises RuntimeError.
     """
     if until < state.clock:
         raise ValueError("cannot advance backwards")
@@ -336,7 +338,6 @@ def advance(state: SimulationState, until: int) -> None:
                     req.set_status(SERVED)
                     req.dropoff_t = veh.ready_at
                     veh.onboard.discard(stop.request_id)
-                    state.infeasible.pop(veh.id, None)
                     if req.dropoff_t > req.l_r:
                         raise RuntimeError(
                             f"request {req.id} dropped off after its deadline")
@@ -449,7 +450,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         while future and future[0].t_r <= t:
             state.pending.append(future.popleft())
         outcome: UpdateOutcome = matcher(net, t, state.pending, vehicles,
-                                         state.infeasible)
+                                         state.context)
         state.update_records.append({
             "t": t,
             "finalized": len(outcome.finalized),
@@ -463,11 +464,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             "solution_s": outcome.solution_s,
         })
         state.pending = [r for r in state.pending if r.status == PENDING]
-        # no verdict on a request that left pending is read again
-        gone = outcome.finalized + outcome.expired
-        if gone:
-            for verdicts in state.infeasible.values():
-                verdicts.difference_update(gone)
+        state.context.retire(outcome.finalized + outcome.expired)
         state.clock = t
         if not future and not state.pending \
                 and all(not v.tour for v in vehicles):

@@ -19,7 +19,7 @@ import networkx as nx
 
 from .model import Tour, Vehicle
 from .network import RoadNetwork
-from .scheduling import PricingContext, split_merge_cost
+from .scheduling import split_merge_cost
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,9 @@ def apply_merges(merges: Sequence[MergeEdge],
 
 def step2_loop(net: RoadNetwork, t: int, vehicles: Sequence[Vehicle],
                fresh: set[int],
-               feasible_index: Mapping[int, tuple[int, ...]],
-               context: PricingContext) -> Step2Stats:
+               feasible_index: Mapping[int, tuple[int, ...]]) -> Step2Stats:
     """Repeat build/match/apply until no merge remains; ``fresh`` holds
-    the ids of the requests this update committed.  ``context``, the
-    update's pricing context, forgets the donor and the recipient of
-    every applied merge.
+    the ids of the requests this update committed.
 
     Every applied merge idles at least one donor, so the number of rounds
     is bounded by the number of vehicles assigned work at entry: the nodes
@@ -169,8 +166,6 @@ def step2_loop(net: RoadNetwork, t: int, vehicles: Sequence[Vehicle],
         merges = select_merges(graph)
         stats.solution_s += time.perf_counter() - t0
         apply_merges(merges, vehicles_by_id)
-        context.forget(vid for e in merges
-                       for vid in (e.donor_id, e.recipient_id))
         stats.rounds += 1
         stats.merges += len(merges)
         if stats.rounds >= stats.initial_assigned:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ridematch import scheduling
 from ridematch.model import DROPOFF, PICKUP, Request, Stop, Vehicle
 from ridematch.network import Link, RoadNetwork, grid_network
 
@@ -72,3 +73,22 @@ def pickups(tour):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+# the pricing search itself, as imported before any test patches it
+priced = scheduling._priced
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every pricing search, as ``(t, vehicle id, request id)``: a
+    ``path_cost`` call that runs no ``scheduling._priced`` was answered
+    from a verdict."""
+    calls = []
+
+    def spy(net, t, vehicle, request, context):
+        calls.append((t, vehicle.id, request.id))
+        return priced(net, t, vehicle, request, context)
+
+    monkeypatch.setattr(scheduling, "_priced", spy)
+    return calls

@@ -173,6 +173,14 @@ class TestSolveAssignment:
         assert [(e.request_id, e.vehicle_id) for e in got] \
             == [(0, 100), (1, 101), (2, 102)]
 
+    def test_cardinality_past_float_precision(self):
+        # the costs sum past 2**53, where the sum plus 2 rounds back to
+        # the sum: two matches must still beat the one free edge
+        costs = {(0, 100): 0, (0, 101): 2**60, (1, 100): 2**60}
+        got = solve_assignment(graph_from_costs(costs))
+        assert [(e.request_id, e.vehicle_id) for e in got] \
+            == [(0, 101), (1, 100)]
+
     def test_deterministic(self):
         costs = {(r, 100 + v): (r * 7 + v * 3) % 10
                  for r in range(4) for v in range(4)}

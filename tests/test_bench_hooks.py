@@ -55,7 +55,7 @@ def test_update_records_expose_traced_fields():
 
 @pytest.mark.parametrize("matcher", sorted(engine.MATCHERS))
 def test_matchers_take_pending_third(monkeypatch, matcher):
-    """Every matcher call is ``(net, t, pending, vehicles, infeasible)``,
+    """Every matcher call is ``(net, t, pending, vehicles, context)``,
     positional, and ``args[2]`` is the pending list ``run_scenario``
     hands over: ``bench/worker.py`` forwards positional arguments only
     and counts busy updates by its truth value."""

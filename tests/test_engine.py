@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ridematch import assignment, engine, scheduling
+from ridematch import assignment, engine
 from ridematch.engine import baseline_update, gmomatch_update
 from ridematch.model import (ASSIGNED, DROPOFF, EXPIRED, ONBOARD, PENDING,
                              PICKUP)
@@ -11,7 +11,7 @@ from ridematch.sim import (SimulationState, advance, commuter_config,
                            example_config, run_scenario)
 from ridematch.vehicle_graph import donor_eligible
 
-from conftest import dropoff, make_request, make_vehicle, pickups
+from conftest import dropoff, make_request, make_vehicle, pickups, priced
 from instance_gen import random_request
 
 
@@ -145,22 +145,27 @@ class TestIterationBound:
 
 
 class TestSharedPricingContext:
-    def test_later_rounds_reuse_verdicts(self, monkeypatch):
+    def test_later_rounds_reuse_verdicts(self, monkeypatch, searches):
         # every round of an update prices through one context, so a later
         # round answers a pair an earlier one found infeasible from its
         # verdict; the trip log is the one a fresh context per round gives
         config = commuter_config(loading_period_s=300)
-        reused = []
+        reused = []  # (answered from a verdict, priced earlier this update)
+        last_priced = {}
         real_path_cost = assignment.path_cost
 
         def spy(net, t, veh, req, context):
-            reused.append(req.id in context.infeasible.get(veh.id, ()))
-            return real_path_cost(net, t, veh, req, context)
+            before = len(searches)
+            plan = real_path_cost(net, t, veh, req, context)
+            reused.append((len(searches) == before,
+                           last_priced.get((veh.id, req.id)) == t))
+            last_priced[(veh.id, req.id)] = t
+            return plan
 
         monkeypatch.setattr(assignment, "path_cost", spy)
         shared = run_scenario(config)
         assert max(u["iterations"] for u in shared.update_records) >= 2
-        assert any(reused)
+        assert any(answered and same for answered, same in reused)
         calls = len(reused)
 
         real_build = engine.build_bipartite
@@ -168,8 +173,9 @@ class TestSharedPricingContext:
                             lambda net, t, requests, vehicles, context:
                             real_build(net, t, requests, vehicles))
         reused.clear()
+        last_priced.clear()
         fresh = run_scenario(config)
-        assert not any(reused)
+        assert not any(answered for answered, _ in reused)
         assert len(reused) == calls  # the same pairs were priced
         assert fresh.trip_records == shared.trip_records
 
@@ -179,62 +185,69 @@ CARRY_SCENARIOS = (commuter_config(), example_config(fleet_size=5),
                    example_config(loading_period_s=300))
 
 
-def run_checking_verdicts(monkeypatch, config):
-    """Run ``config`` on the carried store of verdicts.  Every pair
-    answered from a verdict is re-priced fresh through
-    ``scheduling._priced`` and must be infeasible.  Returns the result,
-    the number of those pairs whose verdict came from an earlier update,
-    and the request ids the store held at each matcher entry beyond the
-    pending ones."""
-    at_entry: set[tuple[int, int]] = set()
+def held_requests(context):
+    """Ids of the requests a context keeps a side or a verdict for."""
+    return set(context._requests).union(
+        *(record.infeasible for record in context._vehicles.values()))
+
+
+def run_checking_verdicts(monkeypatch, searches, config):
+    """Run ``config`` on the run's pricing context.  Every pair answered
+    from a verdict, a ``path_cost`` call that runs no search, is
+    re-priced fresh through ``scheduling._priced`` and must be
+    infeasible.  Returns the result, the number of those pairs whose
+    verdict came from an earlier update, and the request ids the
+    context held at each matcher entry beyond the pending ones."""
+    seen: set[tuple[int, int]] = set()  # pairs priced in this update
     stray: list[set[int]] = []
     carried = 0
     with monkeypatch.context() as m:
         for name, fn in list(engine.MATCHERS.items()):
-            def entry(net, t, pending, vehicles, infeasible, _fn=fn):
-                at_entry.clear()
-                at_entry.update((vid, rid) for vid, rids in infeasible.items()
-                                for rid in rids)
-                stray.append({rid for _, rid in at_entry}
+            def entry(net, t, pending, vehicles, context, _fn=fn):
+                seen.clear()
+                stray.append(held_requests(context)
                              - {r.id for r in pending})
-                return _fn(net, t, pending, vehicles, infeasible)
+                return _fn(net, t, pending, vehicles, context)
             m.setitem(engine.MATCHERS, name, entry)
         real_path_cost = assignment.path_cost
 
         def spy(net, t, veh, req, context):
             nonlocal carried
-            if req.id in context.infeasible.get(veh.id, ()):
-                carried += (veh.id, req.id) in at_entry
-                fresh = scheduling._priced(net, t, veh, req,
-                                           PricingContext(net))
+            before = len(searches)
+            plan = real_path_cost(net, t, veh, req, context)
+            if len(searches) == before:
+                carried += (veh.id, req.id) not in seen
+                fresh = priced(net, t, veh, req, PricingContext(net))
                 assert not fresh.feasible, (t, veh.id, req.id)
-            return real_path_cost(net, t, veh, req, context)
+            seen.add((veh.id, req.id))
+            return plan
 
         m.setattr(assignment, "path_cost", spy)
         result = run_scenario(config)
     return result, carried, stray
 
 
-def run_fresh_store_per_update(monkeypatch, config):
+def run_fresh_context_per_update(monkeypatch, config):
     with monkeypatch.context() as m:
         for name, fn in list(engine.MATCHERS.items()):
             m.setitem(engine.MATCHERS, name,
-                      lambda net, t, pending, vehicles, infeasible, _fn=fn:
+                      lambda net, t, pending, vehicles, context, _fn=fn:
                       _fn(net, t, pending, vehicles))
         return run_scenario(config)
 
 
 class TestCarriedVerdicts:
     @pytest.mark.parametrize("update", [gmomatch_update, baseline_update])
-    def test_dropoff_reopens_a_pair(self, line_net, update):
+    def test_dropoff_reopens_a_pair(self, monkeypatch, line_net, update,
+                                    searches):
         # a cab at node 0 carries three riders, so it keeps their order
         # and only inserts a new pair: A to node 1 (reached at 60), C to
         # node 4 (due by 600) and then D to node 2 (due by 400).  Rider B
         # rides 3 -> 2, picked up by 200 and dropped by 260: in that
         # order D or B is always late.  Dropping A off leaves two riders,
         # whose stops are then re-ordered: D at 120, B from 180 to 240,
-        # then C at 360.  So the verdict found at t = 0 carries to t = 30,
-        # and the dropoff at 60 must forget it
+        # then C at 360.  So the verdict found at t = 0 answers the pair
+        # at t = 30, and the dropoff at 60 must reopen it
         a = make_request(1, 0, 0, 1, 540, line_net)
         c = make_request(3, 0, 0, 4, 360, line_net)
         d = make_request(4, 0, 0, 2, 280, line_net)
@@ -247,38 +260,49 @@ class TestCarriedVerdicts:
                                 requests=[a, b, c, d],
                                 requests_by_id={1: a, 2: b, 3: c, 4: d},
                                 pending=[b])
+        calls = []
+        real_path_cost = assignment.path_cost
+        monkeypatch.setattr(assignment, "path_cost",
+                            lambda net, t, veh, req, context:
+                            calls.append((t, veh.id, req.id))
+                            or real_path_cost(net, t, veh, req, context))
         for t in (0, 30):
             out = update(line_net, t, state.pending, state.vehicles,
-                         state.infeasible)
+                         state.context)
             assert out.deferred == [2]
-            assert state.infeasible == {0: {2}}
             advance(state, t + 30)
-        assert a.dropoff_t == 60 and state.infeasible == {}
+        assert a.dropoff_t == 60
         out = update(line_net, 60, state.pending, state.vehicles,
-                     state.infeasible)
+                     state.context)
         assert out.finalized == [2] and b.assign_t == 60
         assert [(s.request_id, s.kind) for s in veh.tour] == [
             (4, DROPOFF), (2, PICKUP), (2, DROPOFF), (3, DROPOFF)]
+        assert calls == [(0, 0, 2), (30, 0, 2), (60, 0, 2)]
+        assert searches == [(0, 0, 2), (60, 0, 2)]
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize("matcher", sorted(engine.MATCHERS))
     def test_carried_verdicts_equal_fresh_pricing(self, monkeypatch,
-                                                  matcher, capacity):
+                                                  searches, matcher,
+                                                  capacity):
         # every verdict that answers a pair re-prices as infeasible, and
-        # the trip log is the one a fresh store per update gives
+        # the trip log is the one a fresh context per update gives
         carried = 0
         for scenario in CARRY_SCENARIOS:
             config = scenario.replace(matcher=matcher, capacity=capacity)
-            result, n, _ = run_checking_verdicts(monkeypatch, config)
+            result, n, _ = run_checking_verdicts(monkeypatch, searches,
+                                                 config)
             carried += n
-            fresh = run_fresh_store_per_update(monkeypatch, config)
+            fresh = run_fresh_context_per_update(monkeypatch, config)
             assert result.trip_records == fresh.trip_records
         assert carried  # some verdicts came from an earlier update
 
     @pytest.mark.parametrize("matcher", sorted(engine.MATCHERS))
-    def test_store_holds_only_pending_requests(self, monkeypatch, matcher):
+    def test_store_holds_only_pending_requests(self, monkeypatch, searches,
+                                               matcher):
         config = commuter_config(matcher=matcher)
-        result, carried, stray = run_checking_verdicts(monkeypatch, config)
+        result, carried, stray = run_checking_verdicts(monkeypatch, searches,
+                                                       config)
         assert carried and len(stray) == len(result.update_records)
         assert not any(stray)
-        assert not any(result.state.infeasible.values())
+        assert not held_requests(result.state.context)

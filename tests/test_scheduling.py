@@ -340,15 +340,15 @@ class TestPricingBounds:
         # going after the cut would read a leg from there
         assert 4 not in recording.read_at
 
-    def test_shared_context_changes_nothing(self, grid3, skew3):
-        # one context per update instant, as gmomatch_update keeps it
-        # across its rounds: every vehicle shape priced against a dozen
-        # requests, round after round, prices exactly as it does alone.
-        # Between rounds, tours change the way a commit changes them (a
-        # priced plan, departure pinned to t) and the way a merge does
-        # (donor emptied, recipient given the merged tour), and just
-        # those vehicles are forgotten; the others keep their sides and
-        # their infeasible verdicts
+    def test_shared_context_changes_nothing(self, grid3, skew3, searches):
+        # one context across the rounds of an update instant, as
+        # gmomatch_update keeps it: every vehicle shape priced against a
+        # dozen requests, round after round, prices exactly as it does
+        # alone.  Between rounds, tours change the way a commit changes
+        # them (a priced plan, departure pinned to t) and the way a merge
+        # does (donor emptied, recipient given the merged tour), and the
+        # context is told nothing; the untouched vehicles keep their
+        # sides and their infeasible verdicts
         rng = random.Random(91)
         shapes = {"idle": 0, "exhaustive": 2, "insertion": 3, "full": 2,
                   "recipient": 1}
@@ -378,10 +378,10 @@ class TestPricingBounds:
                     for req in requests:
                         for shape, veh in vehicles.items():
                             plan = path_cost(net, t, veh, req)
-                            reused[shape] += req.id in context.infeasible.get(
-                                veh.id, ())
+                            before = len(searches)
                             assert path_cost(net, t, veh, req, context) \
                                 == plan
+                            reused[shape] += len(searches) == before
                             if plan.feasible:
                                 plans[shape].append(plan)
                     if rnd == 0:
@@ -391,28 +391,26 @@ class TestPricingBounds:
                     if rnd == len(between):
                         break
                     commit, donor, recipient = between[rnd]
-                    changed = []
                     if plans[commit]:
                         veh = vehicles[commit]
                         veh.tour = plans[commit][0].tour
                         veh.ready_at = max(veh.ready_at, t)
-                        changed.append(veh.id)
                     if vehicles[donor].tour:
                         d, r = vehicles[donor], vehicles[recipient]
                         r.tour, d.tour = r.tour + d.tour, ()
-                        changed += [d.id, r.id]
-                    context.forget(changed)
-        # the untouched vehicles answered later rounds from verdicts
-        assert reused["full"] and reused["insertion"], reused
+        # the untouched vehicles and the recipients, which only gained
+        # riders, answered later rounds from verdicts
+        assert reused["full"] and reused["insertion"] \
+            and reused["recipient"], reused
 
     def test_carried_verdicts_change_nothing_across_advance(self, grid3,
-                                                            skew3):
-        # one store of verdicts across updates, as run_scenario keeps it,
-        # with the fleet advanced in between: riders are picked up and
-        # dropped off, and each dropoff forgets its vehicle.  Every
-        # pricing on a context over the carried store equals a fresh one
+                                                            skew3, searches):
+        # one context across updates, as run_scenario keeps it, with the
+        # fleet advanced in between: riders are picked up and dropped off,
+        # and a dropoff reopens its vehicle's pairs.  Every pricing on
+        # the carried context equals a fresh one
         rng = random.Random(17)
-        carried = forgotten = 0
+        carried = reopened = 0
         for net in (grid3, skew3):
             vehicles, riders = [], []
             for vid, n in enumerate((0, 1, 2, 3, 3, 4)):
@@ -434,20 +432,23 @@ class TestPricingBounds:
             state = SimulationState(
                 net=net, vehicles=vehicles, requests=riders + requests,
                 requests_by_id={r.id: r for r in riders + requests})
+            found = set()  # pairs found infeasible at an earlier instant
             for t in range(0, 240, 30):
-                held = {(vid, rid) for vid, rids in state.infeasible.items()
-                        for rid in rids}
-                context = PricingContext(net, state.infeasible)
                 for req in requests:
                     for veh in vehicles:
                         plan = path_cost(net, t, veh, req)
-                        carried += (veh.id, req.id) in held
-                        assert path_cost(net, t, veh, req, context) == plan
-                had = set(state.infeasible)
+                        before = len(searches)
+                        assert path_cost(net, t, veh, req,
+                                         state.context) == plan
+                        if len(searches) == before:
+                            carried += 1
+                        else:
+                            reopened += (veh.id, req.id) in found
+                        if not plan.feasible:
+                            found.add((veh.id, req.id))
                 advance(state, t + 30)
-                forgotten += len(had - set(state.infeasible))
-        # verdicts served later updates, and dropoffs forgot some
-        assert carried and forgotten, (carried, forgotten)
+        # verdicts served later updates, and dropoffs reopened some
+        assert carried and reopened, (carried, reopened)
 
     def test_one_second_win_survives_the_cuts(self):
         # one-way links: 0->1 10 s, 0->2 19 s, 1->2 10 s, 2->1 5 s, 1->3

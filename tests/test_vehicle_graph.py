@@ -181,8 +181,7 @@ class TestStep2Loop:
                                              dropoff(reqs[v])))
                     for v in range(4)]
         index = {r.id: (0, 1, 2, 3) for r in reqs}
-        stats = step2_loop(line_net, 0, vehicles, {0, 1, 2, 3}, index,
-                           PricingContext(line_net))
+        stats = step2_loop(line_net, 0, vehicles, {0, 1, 2, 3}, index)
         assert stats.merges == 3
         assert stats.rounds <= 4  # bounded by initial assigned count
         holders = [v for v in vehicles if v.tour]
@@ -190,12 +189,14 @@ class TestStep2Loop:
         assert pickups(holders[0].tour) == {0, 1, 2, 3}
         assert holders[0].occupants == 4
 
-    def test_merges_forget_their_vehicles(self, line_net):
+    def test_merges_forget_their_vehicles(self, line_net, searches):
         # the colocated chain again, beside vehicle 4, which holds older
         # work and so takes no part in the merge stage.  Every vehicle
-        # has a verdict for rider 9, who is too far to reach by q_r; each
-        # merge replaces the tours of its donor and recipient, so their
-        # verdicts go, and only vehicle 4 keeps its own
+        # has a verdict for rider 9, who is too far to reach by q_r.  A
+        # verdict holds while no rider has left its vehicle: each donor
+        # hands its rider over, so pricing rider 9 again searches for it,
+        # while the recipient, which only gained riders, and vehicle 4
+        # answer from their verdicts
         reqs = [make_request(i, 0, 0, 2, 600, line_net) for i in range(5)]
         vehicles = [make_vehicle(v, 0, tour=(pickup(reqs[v]),
                                              dropoff(reqs[v])))
@@ -204,17 +205,20 @@ class TestStep2Loop:
         context = PricingContext(line_net)
         for veh in vehicles:
             assert not path_cost(line_net, 0, veh, far, context).feasible
-        assert sorted(context.infeasible) == [0, 1, 2, 3, 4]
+        assert searches == [(0, v, 9) for v in range(5)]
         index = {r.id: (0, 1, 2, 3) for r in reqs[:4]}
-        stats = step2_loop(line_net, 0, vehicles, {0, 1, 2, 3}, index,
-                           context)
+        stats = step2_loop(line_net, 0, vehicles, {0, 1, 2, 3}, index)
         assert stats.merges == 3
-        assert context.infeasible == {4: {9}}
+        donors = [v.id for v in vehicles if not v.tour]
+        assert len(donors) == 3 and 4 not in donors
+        searches.clear()
+        for veh in vehicles:
+            assert not path_cost(line_net, 0, veh, far, context).feasible
+        assert searches == [(0, v, 9) for v in donors]
 
     def test_no_edges_no_rounds(self, line_net):
         r1 = make_request(1, 0, 0, 2, 600, line_net)
         veh = make_vehicle(1, 0, tour=(pickup(r1), dropoff(r1)))
-        stats = step2_loop(line_net, 0, [veh], {1}, {1: (1,)},
-                           PricingContext(line_net))
+        stats = step2_loop(line_net, 0, [veh], {1}, {1: (1,)})
         assert stats.rounds == 0 and stats.merges == 0
         assert veh.tour
