@@ -63,7 +63,9 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
 
     Requests are priced, and each request's candidate vehicles listed, in
     id order, through ``context``, which may carry sides and verdicts
-    from earlier calls; a fresh ``PricingContext`` when None.
+    from earlier calls; a fresh ``PricingContext`` when None.  The rows
+    into the requests' origins, which the reach filter reads, are
+    computed first, in one batch.
     """
     edges: list[Edge] = []
     feasible_sets: dict[int, tuple[int, ...]] = {}
@@ -71,6 +73,7 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
         context = PricingContext(net)
     ordered_requests = sorted(requests, key=lambda r: r.id)
     ordered_vehicles = sorted(vehicles, key=lambda v: v.id)
+    net.fill_rows(r.origin for r in ordered_requests)
     for req in ordered_requests:
         candidates = feasible_vehicles(net, req, ordered_vehicles)
         feasible_sets[req.id] = tuple(v.id for v in candidates)

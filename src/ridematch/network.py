@@ -14,9 +14,10 @@ Travel times are static for the lifetime of a network object.  Every
 query ends at a target, so the only routing state is one distance row
 per target, kept once computed: a list indexed by position holding the
 travel time into the target as an ``int``, or None where the target
-cannot be reached.  Paths are walked hop by hop from their target's row
-and never stored.  A row is one ``scipy.sparse.csgraph.dijkstra`` run
-from the target over a CSR matrix of the reversed links.  It computes in
+cannot be reached; positions with the same time share one ``int``.
+Paths are walked hop by hop from their target's row and never stored.
+Rows are computed in batches by ``scipy.sparse.csgraph.dijkstra`` from
+their targets over a CSR matrix of the reversed links.  It computes in
 float64, so the network rejects link times that sum to 2**53 or more:
 below that every path length is an exact integer.
 """
@@ -52,6 +53,9 @@ class Link(NamedTuple):
 # network is built: a node takes about 2.3 KB, and each routing row one
 # list slot per node
 MAX_NODES = 250_000
+# the most distances (targets x positions) one scipy Dijkstra call
+# computes, so that its float64 result takes at most 2 MB
+DIJKSTRA_ENTRIES = 2**18
 
 
 class RoadNetwork:
@@ -62,10 +66,15 @@ class RoadNetwork:
     ``links`` and every query speak positions.  Read-only after
     construction: queries may run concurrently, mutation is not
     supported.  The routing state is ``_dist_to`` only: one distance row
-    into each target queried so far, computed by scipy's compiled
-    Dijkstra over ``_reverse``, the reversed links as a CSR matrix whose
-    row ``i`` holds the in-links of position ``i``.  The total link time
-    is below 2**53, so the float64 distances are exact integers.  The
+    into each target queried or filled so far, computed by scipy's
+    compiled Dijkstra over ``_reverse``, the reversed links as a CSR
+    matrix whose row ``i`` holds the in-links of position ``i``.
+    ``fill_rows`` computes many rows in batches of at most
+    ``DIJKSTRA_ENTRIES`` distances, a query the one row it misses.  The
+    total link time is below 2**53, so the float64 distances are exact
+    integers.  A row takes 8 bytes per position for its list slot plus
+    one ``int`` object per distinct travel time in it, which its
+    positions share; a 40 x 40 grid row holds at most 79 of them.  The
     next hop towards ``dst`` is the smallest-position neighbour ``n``
     with ``link time + dist_to[dst][n] == dist_to[dst][here]``, so
     identical queries always return identical paths.
@@ -131,20 +140,30 @@ class RoadNetwork:
         if not 0 <= node < len(self.nodes):
             raise KeyError(f"no node at position {node}")
 
-    def _dijkstra(self, target: int) -> list[int | None]:
-        row = dijkstra(self._reverse, indices=target)
-        unreached = np.flatnonzero(np.isinf(row)).tolist()
-        row[unreached] = 0
-        dist: list[int | None] = row.astype(np.int64).tolist()
-        for i in unreached:
-            dist[i] = None
-        return dist
+    def _dijkstra(self, targets: list[int]) -> list[list[int | None]]:
+        """The rows into ``targets``, from one scipy call.  No other code
+        calls scipy's ``dijkstra``: ``bench/tracer.py`` times this."""
+        return [_row(dist)
+                for dist in dijkstra(self._reverse, indices=targets)]
 
     def _distances_to(self, target: int) -> list[int | None]:
         cached = self._dist_to.get(target)
         if cached is None:
-            cached = self._dist_to[target] = self._dijkstra(target)
+            [cached] = self._dijkstra([target])
+            self._dist_to[target] = cached
         return cached
+
+    def fill_rows(self, targets: Iterable[int]) -> None:
+        """Compute the row into each of ``targets`` that is not cached
+        yet, ``DIJKSTRA_ENTRIES`` distances per scipy call; a batch
+        costs less than a call per row."""
+        missing = [t for t in dict.fromkeys(targets) if t not in self._dist_to]
+        for target in missing:
+            self._require(target)
+        step = max(1, DIJKSTRA_ENTRIES // max(len(self.nodes), 1))
+        for i in range(0, len(missing), step):
+            chunk = missing[i:i + step]
+            self._dist_to.update(zip(chunk, self._dijkstra(chunk)))
 
     def shortest_travel_time(self, src: int, dst: int) -> int | None:
         """Minimal travel time in seconds over any directed path.
@@ -203,6 +222,15 @@ class RoadNetwork:
             path.append(link.dst)
             link = self.next_link(link.dst, dst)
         return tuple(path) if path[-1] == dst else None
+
+
+def _row(dist: np.ndarray) -> list[int | None]:
+    """A float64 distance array as a routing row, None for inf: every
+    position with the same time holds the same ``int`` object."""
+    times = np.unique(dist)  # sorted, so an inf comes last
+    values = (times.astype(np.int64).tolist() if times[-1] < np.inf
+              else times[:-1].astype(np.int64).tolist() + [None])
+    return np.array(values, dtype=object)[times.searchsorted(dist)].tolist()
 
 
 REQUIRED = object()  # the default of a field a record must give

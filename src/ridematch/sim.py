@@ -159,7 +159,10 @@ def check_demand_reachability(config: ScenarioConfig,
                                   f"network: no route from {net.nodes[o]} "
                                   f"to {net.nodes[d]}")
     if config.demand["kind"] == "poisson":
-        for rec in config.demand["od_rates"]:
+        od_rates = config.demand["od_rates"]
+        net.fill_rows(net.position[rec["destination"]] for rec in od_rates
+                      if rec["destination"] in net.position)
+        for rec in od_rates:
             o, d = rec["origin"], rec["destination"]
             if o not in net.position or d not in net.position:
                 raise ConfigError(f"demand references unknown node: {o}->{d}")
@@ -203,6 +206,7 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
             events.append((t, o, d))
     # positions rank like ids, so same-instant events keep their id order
     events.sort()
+    net.fill_rows({d for _, _, d in events})  # the rows make_request reads
     out = []
     for rid, (t, o, d) in enumerate(events):
         try:
@@ -253,6 +257,9 @@ def load_requests(path: Path, config: ScenarioConfig,
     check_records(records, REQUEST_TABLE, "request record", ConfigError)
     position = net.position
     flex = config.flexibility_s
+    # the rows make_request reads, in one batch
+    net.fill_rows(position[d] for d in {rec["destination"] for rec in records}
+                  if d in position)
     out = []
     for rid, rec in enumerate(sorted(records, key=itemgetter("t_r"))):
         o = position.get(rec["origin"])

@@ -5,14 +5,16 @@ and check that every name it needs still resolves, and pin the matcher
 calling convention that ``bench/worker.py`` relies on."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import ridematch
-from ridematch import assignment, engine
+from ridematch import assignment, engine, network
 from ridematch.model import PENDING, Request
-from ridematch.sim import example_config, run_scenario
+from ridematch.sim import commuter_config, example_config, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,3 +105,31 @@ def test_every_candidate_is_priced_through_the_hooked_name(monkeypatch):
     run_scenario(example_config(loading_period_s=300, fleet_size=5))
     assert sum(n for n, _ in per_call) > 0
     assert all(n == candidates for n, candidates in per_call)
+
+
+def test_every_dijkstra_runs_inside_the_hooked_method(monkeypatch, tmp_path):
+    """The tracer's ``network.dijkstra_*`` metrics wrap
+    ``RoadNetwork._dijkstra``: scipy's ``dijkstra`` must be called from
+    there only, for uniform, Poisson and file demand alike."""
+    callers = []
+    real_dijkstra = network.dijkstra
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return real_dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(network, "dijkstra", spy)
+    path = tmp_path / "requests.json"
+    path.write_text(json.dumps({"requests": [
+        {"t_r": 10 * i, "origin": i, "destination": 35 - i}
+        for i in range(8)]}))
+    for config in (example_config(loading_period_s=300, fleet_size=5),
+                   commuter_config(loading_period_s=300),
+                   example_config(demand={"kind": "file",
+                                          "path": str(path)},
+                                  matcher="baseline")):
+        before = len(callers)
+        run_scenario(config)
+        assert len(callers) > before
+    assert all(code is network.RoadNetwork._dijkstra.__code__
+               for code in callers)

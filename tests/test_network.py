@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ridematch import network
 from ridematch.network import (MAX_NODES, Link, NetworkFormatError,
                                RoadNetwork, grid_network, load_network)
 
@@ -40,6 +41,8 @@ class TestRouting:
             line_net.shortest_travel_time(-1, 0)
         with pytest.raises(KeyError):
             line_net.travel_times_to(-1)
+        with pytest.raises(KeyError):
+            line_net.fill_rows([0, 5])
 
     def test_tie_breaks_to_smallest_next_node(self):
         # two equal-cost routes 0->1->3 and 0->2->3; 1 < 2 must win
@@ -63,6 +66,12 @@ class TestRouting:
             net = RoadNetwork(ids, links)
             pos = net.position
             assert net.nodes == tuple(sorted(ids))
+            # the same rows filled in one batch, targets shuffled, repeated
+            batched = RoadNetwork(ids, links)
+            targets = list(range(n))
+            # a second rng, so that the graphs drawn stay the same
+            random.Random(trial).shuffle(targets)
+            batched.fill_rows(targets + targets[:2])
             raw = [(l.src, l.dst, l.travel_time_s) for l in links]
             expect = {src: bellman_ford(ids, raw, src) for src in ids}
             for src in ids:
@@ -78,6 +87,11 @@ class TestRouting:
                 assert type(row) is list and len(row) == len(net.nodes)
                 assert row == [expect[src].get(dst) for src in net.nodes]
                 assert all(type(v) is int for v in row if v is not None)
+                filled = batched.travel_times_to(pos[dst])
+                assert filled == row
+                assert all(type(v) is int for v in filled if v is not None)
+                # the cache itself, not a copy, and not computed again
+                assert batched.travel_times_to(pos[dst]) is filled
                 assert (row[pos[no_out]] is not None) == (dst == no_out)
             assert net.travel_times_to(pos[no_in]) == [
                 0 if n == no_in else None for n in net.nodes]
@@ -141,6 +155,49 @@ class TestRouting:
 
     def test_repeat_queries_identical(self, grid6):
         assert grid6.shortest_path(3, 32) == grid6.shortest_path(3, 32)
+
+
+class TestBatchedRows:
+    def test_fill_spans_chunks(self, monkeypatch):
+        rng = random.Random(5)
+        ids = list(range(12))
+        links = [Link(a, b, 100.0, rng.randrange(1, 10))
+                 for a in ids for b in ids if a != b and rng.random() < 0.4]
+        single = RoadNetwork(ids, links)
+        expect = [single.travel_times_to(dst) for dst in ids]
+        net = RoadNetwork(ids, links)
+        net.travel_times_to(4)
+        batches = []
+        real = RoadNetwork._dijkstra
+
+        def spy(self, targets):
+            batches.append(list(targets))
+            return real(self, targets)
+
+        monkeypatch.setattr(RoadNetwork, "_dijkstra", spy)
+        # three targets per scipy call
+        monkeypatch.setattr(network, "DIJKSTRA_ENTRIES", 3 * len(ids) + 2)
+        net.fill_rows([9, 4, 0, 9, 11, 3, 7, 1, 2])
+        # each missing target once, in order; the cached row 4 is kept
+        assert batches == [[9, 0, 11], [3, 7, 1], [2]]
+        net.fill_rows([0, 1, 2])
+        assert len(batches) == 3
+        for dst in ids:
+            row = net.travel_times_to(dst)
+            assert row == expect[dst]
+            assert all(type(v) is int or v is None for v in row)
+        # a query computes the one row it misses: 5, 6, 8 and 10
+        assert batches[3:] == [[5], [6], [8], [10]]
+
+    def test_fill_of_nothing(self):
+        RoadNetwork([], []).fill_rows([])  # no nodes to size a batch by
+
+    def test_rows_share_one_int_per_distinct_time(self):
+        # a 40 x 40 grid row holds at most 79 distinct times in 1,600 slots
+        net = grid_network(40, 40)
+        for target in range(len(net.nodes)):
+            row = net.travel_times_to(target)
+            assert len(set(map(id, row))) == len(set(row))
 
 
 class TestConstruction:

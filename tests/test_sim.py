@@ -476,6 +476,38 @@ class TestRunScenario:
             row = lines[1 + result.trip_records.index(unserved[0])]
             assert "None" not in row
 
+    @pytest.mark.parametrize("matcher", ["gmomatch", "baseline"])
+    @pytest.mark.parametrize("kind", ["file", "poisson"])
+    def test_rows_built_are_destinations_and_priced_origins(
+            self, tmp_path, kind, matcher):
+        # origins 0-5 and destinations 30-35 of a 6 x 6 grid never meet;
+        # a flexibility below the update interval lets a request expire
+        # before any update prices it, and its origin then gets no row
+        pairs = [(o, 35 - o) for o in range(6)]
+        if kind == "file":
+            path = tmp_path / "requests.json"
+            path.write_text(json.dumps({"requests": [
+                {"t_r": t, "origin": o, "destination": d}
+                for t, (o, d) in zip((0, 15, 5, 40, 75, 100), pairs)]}))
+            demand = {"kind": "file", "path": str(path)}
+        else:
+            demand = {"kind": "poisson", "od_rates": [
+                {"origin": o, "destination": d, "rate_per_hour": 12}
+                for o, d in pairs]}
+        cfg = ScenarioConfig.from_dict(minimal_doc(
+            **grid_of(6, 6), demand=demand, loading_period_s=900,
+            flexibility_s=20, matcher=matcher, seed=4))
+        result = run_scenario(cfg)
+        delta = cfg.update_interval_s
+        # the first update at or after t_r prices a request unless it is
+        # past q_r by then
+        priced = {r.origin for r in result.state.requests
+                  if -(-r.t_r // delta) * delta <= r.q_r}
+        destinations = {r.destination for r in result.state.requests}
+        assert destinations == {d for _, d in pairs}
+        assert set(result.state.net._dist_to) == destinations | priced
+        assert set(range(6)) - priced  # some origin expired unpriced
+
     def test_vehicles_quiesce(self):
         result = run_scenario(example_config(seed=2))
         assert all(not v.tour and not v.onboard
