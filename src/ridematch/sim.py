@@ -159,13 +159,13 @@ def check_demand_reachability(config: ScenarioConfig,
                                   f"network: no route from {net.nodes[o]} "
                                   f"to {net.nodes[d]}")
     if config.demand["kind"] == "poisson":
-        od_rates = config.demand["od_rates"]
-        net.fill_rows(net.position[rec["destination"]] for rec in od_rates
-                      if rec["destination"] in net.position)
-        for rec in od_rates:
-            o, d = rec["origin"], rec["destination"]
+        pairs = [(rec["origin"], rec["destination"])
+                 for rec in config.demand["od_rates"]]
+        for o, d in pairs:
             if o not in net.position or d not in net.position:
                 raise ConfigError(f"demand references unknown node: {o}->{d}")
+        net.fill_rows(net.position[d] for _, d in pairs)  # in one batch
+        for o, d in pairs:
             if net.shortest_travel_time(net.position[o],
                                         net.position[d]) is None:
                 raise ConfigError(f"demand OD pair {o}->{d} is unreachable")
@@ -206,7 +206,9 @@ def generate_demand(config: ScenarioConfig, net: RoadNetwork,
             events.append((t, o, d))
     # positions rank like ids, so same-instant events keep their id order
     events.sort()
-    net.fill_rows({d for _, _, d in events})  # the rows make_request reads
+    # the rows make_request reads, in one batch; Poisson demand's are
+    # already there when check_demand_reachability ran
+    net.fill_rows({d for _, _, d in events})
     out = []
     for rid, (t, o, d) in enumerate(events):
         try:
@@ -257,7 +259,9 @@ def load_requests(path: Path, config: ScenarioConfig,
     check_records(records, REQUEST_TABLE, "request record", ConfigError)
     position = net.position
     flex = config.flexibility_s
-    # the rows make_request reads, in one batch
+    # the rows make_request reads, in one batch.  A bad record is found
+    # in the loop, after these rows: the ones a good file with the same
+    # destinations builds, and cheaper than a pass to check them first
     net.fill_rows(position[d] for d in {rec["destination"] for rec in records}
                   if d in position)
     out = []

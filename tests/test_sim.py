@@ -114,6 +114,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unreachable"):
             check_demand_reachability(cfg, build_network(cfg))
 
+    def test_unknown_od_node_rejected_before_any_row(self):
+        cfg = ScenarioConfig.from_dict(minimal_doc(
+            demand={"kind": "poisson", "od_rates": [
+                {"origin": 0, "destination": 8, "rate_per_hour": 10},
+                {"origin": 0, "destination": 99, "rate_per_hour": 10}]}))
+        net = build_network(cfg)
+        with pytest.raises(ConfigError, match="unknown node: 0->99"):
+            check_demand_reachability(cfg, net)
+        assert not net._dist_to
+
     def test_uniform_demand_needs_two_nodes(self):
         # a one-node network has no pair with origin != destination to draw
         cfg = example_config(network={"kind": "grid", "rows": 1, "cols": 1})
