@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Request, Tour, Vehicle
+from .model import DROPOFF, PICKUP, Request, Stop, Tour, Vehicle
 from .network import RoadNetwork
 from .scheduling import PricingContext, path_cost
 
@@ -61,11 +61,17 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
                     context: PricingContext | None = None) -> BipartiteGraph:
     """Price every candidate request/vehicle pair at update time ``t``.
 
-    Requests are priced, and each request's candidate vehicles listed, in
-    id order, through ``context``, which may carry sides and verdicts
-    from earlier calls; a fresh ``PricingContext`` when None.  The rows
-    into the requests' origins, which the reach filter reads, are
-    computed first, in one batch.
+    Edges, and each request's candidate vehicles, are listed in request
+    id order, then vehicle id order.  Pricing goes through ``context``,
+    which may carry sides and verdicts from earlier calls; a fresh
+    ``PricingContext`` when None.  The rows into the requests' origins,
+    which the reach filter reads, are computed first, in one batch.
+
+    A request alone in its group of the same origin, destination and
+    ``f_r`` is priced with each candidate through ``path_cost``.  A
+    larger group shares one candidate list and is priced once per
+    vehicle, loosest first (see ``_price_group``), with the same edges
+    and verdicts as pricing each pair on its own.
     """
     edges: list[Edge] = []
     feasible_sets: dict[int, tuple[int, ...]] = {}
@@ -74,7 +80,20 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
     ordered_requests = sorted(requests, key=lambda r: r.id)
     ordered_vehicles = sorted(vehicles, key=lambda v: v.id)
     net.fill_rows(r.origin for r in ordered_requests)
+    groups: dict[tuple[int, int, int], list[Request]] = {}
     for req in ordered_requests:
+        groups.setdefault((req.origin, req.destination, req.f_r),
+                          []).append(req)
+    grouped: dict[int, tuple[tuple[int, ...], list[Edge]]] = {}
+    for group in groups.values():
+        if len(group) > 1:
+            grouped.update(_price_group(net, t, group, ordered_vehicles,
+                                        context))
+    for req in ordered_requests:
+        if req.id in grouped:
+            feasible_sets[req.id], own = grouped[req.id]
+            edges.extend(own)
+            continue
         candidates = feasible_vehicles(net, req, ordered_vehicles)
         feasible_sets[req.id] = tuple(v.id for v in candidates)
         for veh in candidates:
@@ -87,6 +106,78 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
         edges=tuple(edges),
         feasible_sets=feasible_sets,
     )
+
+
+def _price_group(net: RoadNetwork, t: int, group: Sequence[Request],
+                 vehicles: Sequence[Vehicle], context: PricingContext
+                 ) -> dict[int, tuple[tuple[int, ...], list[Edge]]]:
+    """Each request's candidate ids and edges, for requests that share
+    origin, destination and ``f_r``.
+
+    Such requests get the same candidates, and their deadlines differ by
+    one offset: ``q_r = t_r + f_r`` and ``l_r = q_r + H(O, D)``.  Nothing
+    else of a request enters a search, so a tighter request's feasible
+    plans are a subset of a looser one's, in the same enumeration order.
+    The search returns the first optimum in that order.  So a looser
+    request's plan whose pickup and dropoff arrivals meet a tighter
+    request's deadlines is the tighter one's plan too, at the same cost,
+    with its own two stops; and a looser request that is infeasible
+    leaves every tighter one infeasible, which is recorded as the verdict
+    ``path_cost`` would record.  For each vehicle with a tour the group
+    is walked by decreasing ``q_r``, and a request the current reference
+    plan cannot answer is searched and becomes the reference.  An empty
+    tour is priced in closed form, request by request.
+    """
+    candidates = feasible_vehicles(net, group[0], vehicles)
+    edges: dict[int, list[Edge]] = {req.id: [] for req in group}
+    loosest_first = sorted(group, key=lambda r: -r.q_r)
+    for veh in candidates:
+        if not veh.tour:
+            for req in group:
+                plan = path_cost(net, t, veh, req, context)
+                if plan.feasible:
+                    edges[req.id].append(Edge(req.id, veh.id, plan.cost,
+                                              plan.tour))
+            continue
+        plan = None  # the reference: the last plan searched
+        for req in loosest_first:
+            if plan is not None and not plan.feasible:
+                context.refuse(veh, req.id)
+                continue
+            if plan is not None and at_pickup <= req.q_r \
+                    and at_dropoff <= req.l_r:
+                # the reference's tour, with this request's two stops
+                pickup = Stop(PICKUP, req.id, req.origin, req.q_r)
+                dropoff = Stop(DROPOFF, req.id, req.destination, req.l_r)
+                tour = (plan.tour[:i] + (pickup,) + plan.tour[i + 1:j]
+                        + (dropoff,) + plan.tour[j + 1:])
+            else:
+                plan = path_cost(net, t, veh, req, context)
+                if not plan.feasible:
+                    continue
+                tour = plan.tour
+                i, at_pickup, j, at_dropoff = _visits(net, t, veh, tour,
+                                                      req.id)
+            edges[req.id].append(Edge(req.id, veh.id, plan.cost, tour))
+    ids = tuple(v.id for v in candidates)
+    return {rid: (ids, own) for rid, own in edges.items()}
+
+
+def _visits(net: RoadNetwork, t: int, vehicle: Vehicle, tour: Tour,
+            request_id: int) -> list[int]:
+    """The index in ``tour`` of the request's pickup, the vehicle's
+    arrival there, and the same for its dropoff, driving the tour from
+    the vehicle's position as pricing does."""
+    at, clock = vehicle.location, max(t, vehicle.ready_at)
+    visits: list[int] = []
+    for k, stop in enumerate(tour):
+        clock += net.travel_times_to(stop.node)[at]
+        at = stop.node
+        if stop.request_id == request_id:
+            visits += (k, clock)
+            if stop.kind == DROPOFF:
+                break
+    return visits
 
 
 def solve_assignment(graph: BipartiteGraph) -> list[Edge]:

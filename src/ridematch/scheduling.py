@@ -20,7 +20,10 @@ the request's (its pickup unit and its dropoff unit).  One
 found infeasible, which answers that pair again at once.  It alone
 decides when what it keeps goes stale: see ``PricingContext``.  An
 empty tour has one plan, the pair, which ``path_cost`` prices in closed
-form at the search's cost.
+form at the search's cost.  ``assignment.build_bipartite`` answers some
+pairs of a round's same-OD requests from a looser request's plan,
+without a search; it records a verdict for each pair it so answers
+infeasible, through ``PricingContext.refuse``, as ``path_cost`` would.
 
 Legs are shortest paths, so no tour reaches a stop sooner than straight
 from where the vehicle is.  That gives two exact cuts.  Before any leg is
@@ -163,6 +166,11 @@ class PricingContext:
             self._requests.pop(rid, None)
         for record in self._vehicles.values():
             record.infeasible.difference_update(request_ids)
+
+    def refuse(self, vehicle: Vehicle, request_id: int) -> None:
+        """Record that ``vehicle`` cannot serve the request, as
+        ``path_cost`` does when its search finds no feasible plan."""
+        self._record(vehicle).infeasible.add(request_id)
 
     def vehicle_side(self, vehicle: Vehicle) -> Side:
         record = self._record(vehicle)

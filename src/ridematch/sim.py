@@ -135,9 +135,13 @@ def build_network(config: ScenarioConfig) -> RoadNetwork:
                               for name in ("link_length_m",
                                            "link_travel_time_s")))
     try:
-        return load_network(Path(spec["path"]))
+        net = load_network(Path(spec["path"]))
     except NetworkFormatError as exc:
         raise ConfigError(str(exc)) from exc
+    if not net.nodes:  # a grid has at least one; a fleet needs one
+        raise ConfigError(f"network file {spec['path']} has no nodes to "
+                          f"place the fleet on")
+    return net
 
 
 def check_demand_reachability(config: ScenarioConfig,

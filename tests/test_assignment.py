@@ -1,11 +1,17 @@
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ridematch import scheduling
 from ridematch.assignment import (BipartiteGraph, Edge, build_bipartite,
                                   feasible_vehicles, solve_assignment)
-from ridematch.network import Link, RoadNetwork
+from ridematch.network import Link, RoadNetwork, grid_network
+from ridematch.scheduling import PricingContext, path_cost
 
 from conftest import dropoff, make_request, make_vehicle
+from instance_gen import vehicle_with_plan
 
 
 def graph_from_costs(costs):
@@ -123,6 +129,63 @@ class TestBuildBipartite:
         graph = build_bipartite(line_net, 0, [r], [v])
         assert graph.feasible_sets[1] == (0,)
         assert graph.edges == ()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 4),
+       cols=st.integers(2, 4), t=st.sampled_from([0, 45]))
+def test_same_od_groups_price_like_each_pair_alone(seed, rows, cols, t):
+    """A round with same-OD groups, each OD with two flexibilities and
+    several announcement times (ties included), against a fleet of idle,
+    busy and full vehicles: ``build_bipartite`` gives the edges and
+    candidate sets of pricing each pair on its own through ``_priced``
+    and a fresh context.  Every candidate pair without an edge is then
+    answered from a verdict, and every pair with one is searched again,
+    as after pricing each pair through ``path_cost``."""
+    net = grid_network(rows, cols)
+    rng = random.Random(seed)
+    vehicles = [vehicle_with_plan(rng, net, rng.randrange(4), capacity=
+                                  rng.randrange(2, 5), vid=vid,
+                                  base_rid=100 + 10 * vid, max_tries=4000)[0]
+                for vid in range(rng.randrange(1, 6))]
+    requests = []
+    rids = iter(rng.sample(range(100), 100))
+    for _ in range(rng.randrange(1, 3)):
+        origin, destination = rng.sample(range(len(net.nodes)), 2)
+        for flex in rng.sample([40, 80, 120, 200, 300], 2):
+            for _ in range(rng.randrange(1, 5)):
+                t_r = max(0, t - rng.choice([0, 0, 20, 40, 70, 90]))
+                requests.append(make_request(next(rids), t_r, origin,
+                                             destination, flex, net))
+    context = PricingContext(net)
+    graph = build_bipartite(net, t, requests, vehicles, context)
+
+    edges, feasible_sets = [], {}
+    for req in sorted(requests, key=lambda r: r.id):
+        candidates = feasible_vehicles(net, req,
+                                       sorted(vehicles, key=lambda v: v.id))
+        feasible_sets[req.id] = tuple(v.id for v in candidates)
+        for veh in candidates:
+            plan = scheduling._priced(net, t, veh, req, PricingContext(net))
+            if plan.feasible:
+                edges.append(Edge(req.id, veh.id, plan.cost, plan.tour))
+    assert graph.feasible_sets == feasible_sets
+    assert graph.edges == tuple(edges)
+
+    searched = []
+
+    def spy(net, t, vehicle, request, context):
+        searched.append((request.id, vehicle.id))
+        return priced(net, t, vehicle, request, context)
+
+    priced = scheduling._priced
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduling, "_priced", spy)
+        for req in requests:
+            for vid in feasible_sets[req.id]:
+                path_cost(net, t, vehicles[vid], req, context)
+    assert sorted(searched) == sorted((e.request_id, e.vehicle_id)
+                                      for e in edges)
 
 
 class TestSolveAssignment:

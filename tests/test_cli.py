@@ -448,6 +448,11 @@ TOO_MANY_NODES = json.dumps({"nodes": [{"id": n}
                                        for n in range(sim.MAX_NODES + 1)],
                              "links": []})
 BIG_FILE_NETWORK = {"network": {"kind": "file", "path": "big.json"}}
+# a network file without nodes, and no requests to place on it
+NO_NODES = {"network": {"kind": "file", "path": "net.json"},
+            "demand": {"kind": "file", "path": "req.json"}}
+NO_NODES_FILES = {"net.json": {"nodes": [], "links": []},
+                  "req.json": {"requests": []}}
 
 
 @pytest.mark.parametrize("command,overrides,files", [
@@ -546,6 +551,9 @@ BIG_FILE_NETWORK = {"network": {"kind": "file", "path": "big.json"}}
     ("run", HUGE_PERIOD, {}),
     ("validate", {"demand": {"kind": "file", "path": "req.json"}},
      {"req.json": {"requests": [5]}}),
+    *[(command, NO_NODES, NO_NODES_FILES)
+      for command in ("validate", "run", "compare")],
+    ("sweep", {"base": config_doc(**NO_NODES)}, NO_NODES_FILES),
 ], ids=["rate-string", "scale-string", "rows-string", "link-time-string",
         "rows-zero", "matcher-list", "path-list", "max-runs-string",
         "kind-list", "seed-negative", "nodes-not-list", "t_r-string",
@@ -573,7 +581,9 @@ BIG_FILE_NETWORK = {"network": {"kind": "file", "path": "big.json"}}
         "rate-beyond-float-range", "link-length-beyond-float-range",
         "sweep-max-runs-beyond-cap", "sweep-runs-beyond-max-runs",
         "validate-random-period-beyond-draw-bound",
-        "random-period-beyond-draw-bound", "request-record-not-object"])
+        "random-period-beyond-draw-bound", "request-record-not-object",
+        "validate-no-nodes", "no-nodes", "compare-no-nodes",
+        "sweep-no-nodes"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, command,
                            overrides, files):
     # no case may get as far as building a fleet, a grid or a network

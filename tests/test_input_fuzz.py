@@ -8,12 +8,14 @@ document must be rejected with the loader's own error; a valid one is
 loaded or rejected by a cross-field rule with that error too.  Nothing
 else may escape, and the CLI exits 0 or 2 with at most one line on
 stderr.  Grids have at most 5 x 5 nodes and files a few dozen records.
+On documents bounded so that a run is cheap, ``run`` succeeds where
+``validate`` does, and fails with the same line where it does not.
 """
 
 import io
 import json
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,42 +106,48 @@ def part(draw, name, faulty, table, **parts):
                 else record(table, **parts))
 
 
-def records(table, faulty, max_size, min_size=0):
+def records(table, faulty, max_size, min_size=0, **parts):
     """A list of records of ``table``, one of them broken if ``faulty``."""
     if not faulty:
-        return st.lists(record(table), min_size=min_size, max_size=max_size)
+        return st.lists(record(table, **parts), min_size=min_size,
+                        max_size=max_size)
     return st.builds(lambda rs, bad, i: rs[:i] + [bad] + rs[i:],
-                     st.lists(record(table), max_size=max_size - 1),
-                     broken(table), st.integers(0, max_size))
+                     st.lists(record(table, **parts), max_size=max_size - 1),
+                     broken(table, **parts), st.integers(0, max_size))
+
+
+# Each document drawer below takes ``bounds``: strategies, by field name,
+# for the fields of any of its tables that have that name.
 
 
 @st.composite
-def config_docs(draw, faulty=None):
+def config_docs(draw, faulty=None, **bounds):
     """A config document; ``faulty`` names the part that is broken."""
     network = part(draw, "network", faulty,
-                   draw(st.sampled_from(list(NETWORK_TABLES.values()))))
+                   draw(st.sampled_from(list(NETWORK_TABLES.values()))),
+                   **bounds)
     kind = ("poisson" if faulty == "od_rates entry"
             else draw(st.sampled_from(sorted(DEMAND_TABLES))))
-    parts = {}
+    parts = dict(bounds)
     if kind == "poisson":
         parts["od_rates"] = records(OD_RATE_TABLE, faulty == "od_rates entry",
-                                    4, min_size=1)
+                                    4, min_size=1, **bounds)
     demand = part(draw, "demand", faulty, DEMAND_TABLES[kind], **parts)
     return part(draw, "config", faulty, CONFIG_TABLE,
-                network=st.just(network), demand=st.just(demand))
+                network=st.just(network), demand=st.just(demand), **bounds)
 
 
 @st.composite
-def network_docs(draw, faulty=None):
-    nodes = records(NODE_TABLE, faulty == "node", 6)
-    links = records(LINK_TABLE, faulty == "link", 12)
+def network_docs(draw, faulty=None, **bounds):
+    nodes = records(NODE_TABLE, faulty == "node", 6, **bounds)
+    links = records(LINK_TABLE, faulty == "link", 12, **bounds)
     return part(draw, "top-level", faulty, NETWORK_TABLE, nodes=nodes,
                 links=links)
 
 
 @st.composite
-def request_docs(draw, faulty=None):
-    requests = records(REQUEST_TABLE, faulty == "request", 24)
+def request_docs(draw, faulty=None, **bounds):
+    requests = records(REQUEST_TABLE, faulty == "request", 24, **bounds)
     return part(draw, "request file", faulty, REQUEST_FILE_TABLE,
                 requests=requests)
 
@@ -152,10 +160,11 @@ def sweep_docs(draw, faulty=None):
                 axes=st.just(axes))
 
 
-def maybe_faulty(docs, parts):
+def maybe_faulty(docs, parts, **bounds):
     """(document, broken) pairs: valid, or broken in one of ``parts``."""
-    return st.one_of(st.tuples(docs(), st.just(False)),
-                     *[st.tuples(docs(p), st.just(True)) for p in parts])
+    return st.one_of(st.tuples(docs(**bounds), st.just(False)),
+                     *[st.tuples(docs(p, **bounds), st.just(True))
+                       for p in parts])
 
 
 CONFIG_PARTS = ("config", "network", "demand", "od_rates entry")
@@ -238,3 +247,52 @@ def test_validate_exits_0_or_2(fuzz_dir, config, network, requests):
     assert err.count("\n") <= 1 and (code == 0) == (err == ""), err
     if config[1]:
         assert code == 2
+
+
+# what keeps a run cheap: at most 5 x 5 grid nodes (a network file has at
+# most 6), 5 vehicles, a loading period of 600 s, a few requests, and
+# windows and links short enough that it ends within about 2,000 updates.
+# Node ids are drawn from the first few, so that most requests and flows
+# name nodes of the network.
+CHEAP = {"rows": st.integers(1, 5), "cols": st.integers(1, 5),
+         "id": st.integers(0, 5), "from": st.integers(0, 5),
+         "to": st.integers(0, 5), "origin": st.integers(0, 5),
+         "destination": st.integers(0, 5),
+         "link_travel_time_s": st.integers(1, 60),
+         "travel_time_s": st.integers(-1, 60),
+         "fleet_size": st.integers(1, 5), "capacity": st.integers(1, 5),
+         "loading_period_s": st.sampled_from([300, 600]) | st.integers(0, 600),
+         "flexibility_s": st.integers(0, 600), "t_r": st.integers(0, 600),
+         "update_interval_s": st.sampled_from([1, 30, 10**12]),
+         "requests_per_hour": st.sampled_from([30.0, 120.0])
+         | st.floats(0, 120),
+         "rate_per_hour": st.sampled_from([30.0, 120.0]) | st.floats(0, 120),
+         "scale": st.sampled_from([1.0]) | st.floats(0, 2)}
+
+
+@settings(FUZZ, max_examples=200)
+@given(config_docs(**CHEAP), maybe_faulty(network_docs, NETWORK_PARTS, **CHEAP),
+       maybe_faulty(request_docs, REQUEST_PARTS, **CHEAP))
+def test_validate_ok_means_run_ok(fuzz_dir, config, network, requests):
+    """What ``validate`` accepts, ``run`` runs to a trip log; what it
+    rejects, ``run`` rejects with the same one line."""
+    trip_log = fuzz_dir / "out" / "trip_log.csv"
+    trip_log.unlink(missing_ok=True)
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(fuzz_dir)
+        for name, doc in (("config.json", config), ("net.json", network[0]),
+                          ("req.json", requests[0])):
+            (fuzz_dir / name).write_text(json.dumps(doc))
+        for argv in (["validate"], ["run", "--out-dir", "out"]):
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(argv + ["--config", "config.json"])
+            results.append((code, err.getvalue()))
+    (validated, why), (ran, run_err) = results
+    if validated == 0:
+        assert (ran, run_err) == (0, ""), run_err
+        assert trip_log.exists()
+    else:
+        assert validated == ran == 2 and why == run_err, (why, run_err)
+        assert why.count("\n") == 1
