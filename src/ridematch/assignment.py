@@ -4,17 +4,19 @@ Each update the pending requests and the fleet form a bipartite graph: a
 vehicle is a candidate for a request when it has a free seat and can reach
 the origin within the request's flexibility budget, and an edge exists
 when a feasible tour incorporating the request was actually found.  The
-minimum-cost assignment is solved as a rectangular linear assignment
-problem, padded so that serving more requests always beats serving fewer.
+minimum-cost assignment is solved on a square matrix, padded so that
+serving more requests always beats serving fewer, by shortest augmenting
+paths (Crouse 2016, "On implementing 2D rectangular assignment
+algorithms", IEEE TAES).  The solver follows ``augmenting_path`` in
+scipy's ``rectangular_lsap.cpp`` step for step, tie rule included, so it
+picks the optimum scipy's ``linear_sum_assignment`` picks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import DROPOFF, PICKUP, Request, Stop, Tour, Vehicle
 from .network import RoadNetwork
@@ -183,25 +185,127 @@ def _visits(net: RoadNetwork, t: int, vehicle: Vehicle, tour: Tour,
 def solve_assignment(graph: BipartiteGraph) -> list[Edge]:
     """Maximum-cardinality, then minimum-cost assignment over the edges.
 
-    The rectangular problem is squared up with a prohibitive cost larger
-    than the sum of all real edge costs, which makes leaving a matchable
-    request unmatched strictly worse than any feasible pairing.  It is
-    float64, as the solver computes, so it never overflows; it is twice
-    the sum plus 2, since past 2**53 the sum plus 2 rounds to the sum.
-    Returns the chosen edges sorted by request id.
+    The problem is squared up with a prohibitive cost larger than the sum
+    of all real edge costs, which makes leaving a matchable request
+    unmatched strictly worse than any feasible pairing.  Costs are
+    float64, as in scipy's solver, so the padding never overflows; it is
+    twice the sum plus 2, since past 2**53 the sum plus 2 rounds to the
+    sum.  Rows are the requests in ``graph.requests`` order, columns the
+    vehicles in ``graph.vehicles`` order.  The matrix is solved as
+    scipy's ``rectangular_lsap.cpp`` solves it (Crouse 2016): each scan
+    keeps the first strict minimum, and a later tie replaces it only on
+    a free column.  Shortcuts keep scipy's choice: the padding rows are
+    not solved, and a request without edges takes the lowest free column
+    at once; ``_augmenting_paths`` says why, and adds a third.  Returns
+    the chosen edges sorted by request id.
     """
     if not graph.edges:
         return []
     row_of = {rid: i for i, rid in enumerate(graph.requests)}
     col_of = {vid: j for j, vid in enumerate(graph.vehicles)}
-    n = max(len(graph.requests), len(graph.vehicles))
-    prohibitive = 2 * sum(e.cost for e in graph.edges) + 2
-    cost = np.full((n, n), prohibitive, dtype=np.float64)
-    edge_at: dict[tuple[int, int], Edge] = {}
+    edge_rows: list[dict[int, Edge]] = [{} for _ in graph.requests]
     for e in graph.edges:
-        i, j = row_of[e.request_id], col_of[e.vehicle_id]
-        cost[i, j] = e.cost
-        edge_at[(i, j)] = e
-    rows, cols = linear_sum_assignment(cost)
-    chosen = [edge_at[(i, j)] for i, j in zip(rows, cols) if (i, j) in edge_at]
+        edge_rows[row_of[e.request_id]][col_of[e.vehicle_id]] = e
+    prohibitive = float(2 * sum(e.cost for e in graph.edges) + 2)
+    col4row = _augmenting_paths(edge_rows, max(len(graph.requests),
+                                               len(graph.vehicles)),
+                                prohibitive)
+    chosen = [row[j] for row, j in zip(edge_rows, col4row) if j in row]
     return sorted(chosen, key=lambda e: e.request_id)
+
+
+def _augmenting_paths(rows: Sequence[Mapping[int, Edge]], n: int,
+                      big: float) -> list[int]:
+    """The column each row gets when the n x n matrix that holds the
+    costs of ``rows[i]`` in row i and ``big`` everywhere else is solved as
+    scipy's ``linear_sum_assignment`` solves it.  Every cost is below
+    ``big``.  An int cost first meets a float in ``c - v[j]`` or
+    ``min_val + c``, which rounds it to float64 as the matrix would.
+
+    Rows are solved in order, each by one shortest augmenting path.  A
+    path's scan walks the columns not yet on it, starting from
+    ``[n-1, ..., 0]`` and filling a removed column's slot with the last
+    one.  It keeps the first strict minimum, and a later tie replaces it
+    only when that column is free.  Reduced costs are computed as
+    ``((min_val + c) - u[i]) - v[j]``, in float64 as the C++ does.
+    Duals only fall on columns and every free column keeps ``v == 0``,
+    which makes three shortcuts exact:
+
+    - Rows past ``len(rows)`` hold only ``big``; each would take a free
+      column and move no other row, so they are not solved.
+    - A row without entries sees ``big`` on every free column and at
+      least ``big`` elsewhere; the tie rule leaves it the lowest free
+      column, with ``u = big``.
+    - A row's first scan reads ``c - v[j]``, since its ``u`` and
+      ``min_val`` are still 0.  When its cheapest entry by that measure
+      lies on a free column, where it reads ``c < big``, no column off
+      the row's entries can tie, since those read at least ``big``.  So
+      the scan ends there, on the lowest such free column.
+    """
+    inf = math.inf
+    u = [0.0] * len(rows)
+    v = [0.0] * n
+    row4col = [-1] * n
+    col4row = [-1] * len(rows)
+    path = [-1] * n
+    dense: list[list | None] = [None] * len(rows)  # made on first use
+    for cur, row in enumerate(rows):
+        if not row:
+            j = row4col.index(-1)
+            row4col[j], col4row[cur], u[cur] = cur, j, big
+            continue
+        lowest, sink = inf, n
+        for j, e in row.items():
+            r = e.cost - v[j]
+            if r < lowest:
+                lowest, sink = r, (j if row4col[j] < 0 else n)
+            elif r == lowest and row4col[j] < 0 and j < sink:
+                sink = j
+        if sink < n:
+            row4col[sink], col4row[cur], u[cur] = cur, sink, lowest
+            continue
+        # scipy's augmenting_path
+        spc = [inf] * n  # shortest path costs
+        remaining = list(range(n - 1, -1, -1))
+        rows_on_path: list[int] = []
+        cols_on_path: list[int] = []
+        min_val, i = 0.0, cur
+        while True:
+            ui, costs = u[i], dense[i]
+            if costs is None:
+                costs = dense[i] = [big] * n
+                for j, e in rows[i].items():
+                    costs[j] = e.cost
+            lowest, index = inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + costs[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j], spc[j] = i, r
+                    s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, index = s, it
+            min_val = lowest
+            j = remaining[index]
+            cols_on_path.append(j)
+            last = remaining.pop()
+            if index < len(remaining):
+                remaining[index] = last
+            if row4col[j] < 0:
+                sink = j
+                break
+            i = row4col[j]
+            rows_on_path.append(i)
+        u[cur] += min_val
+        for i in rows_on_path:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_on_path:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row

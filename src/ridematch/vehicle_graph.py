@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from .model import Tour, Vehicle
 from .network import RoadNetwork
 from .scheduling import split_merge_cost
@@ -108,9 +106,14 @@ def select_merges(graph: VehicleGraph) -> list[MergeEdge]:
     cheaper one (smaller donor id on ties).  Costs are turned into weights
     by subtracting from one plus the largest cost, so every kept edge has
     positive weight.  Returns the selected edges sorted by donor id.
+
+    networkx is imported here, when first needed, so a run whose matcher
+    never merges never loads it.
     """
     if not graph.edges:
         return []
+    import networkx as nx
+
     best: dict[tuple[int, int], MergeEdge] = {}
     for e in sorted(graph.edges, key=lambda e: (e.donor_id, e.recipient_id)):
         key = (min(e.donor_id, e.recipient_id),

@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ridematch import scheduling
 from ridematch.assignment import (BipartiteGraph, Edge, build_bipartite,
@@ -252,3 +254,44 @@ class TestSolveAssignment:
         assert first == solve_assignment(g)
         assert [e.request_id for e in first] \
             == sorted(e.request_id for e in first)
+
+
+def scipy_choice(graph):
+    """The edges ``scipy.optimize.linear_sum_assignment`` picks on the
+    padded matrix ``solve_assignment`` describes, sorted by request id."""
+    n = max(len(graph.requests), len(graph.vehicles))
+    cost = np.full((n, n), float(2 * sum(e.cost for e in graph.edges) + 2))
+    edge_at = {}
+    for e in graph.edges:
+        i = graph.requests.index(e.request_id)
+        j = graph.vehicles.index(e.vehicle_id)
+        cost[i, j] = e.cost
+        edge_at[(i, j)] = e
+    rows, cols = linear_sum_assignment(cost)
+    chosen = [edge_at[(i, j)] for i, j in zip(rows, cols) if (i, j) in edge_at]
+    return sorted(chosen, key=lambda e: e.request_id)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_requests=st.integers(1, 10),
+       n_vehicles=st.integers(1, 10),
+       density=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+       low=st.sampled_from([0, 1, 2**50]),
+       spread=st.sampled_from([1, 2, 9, 999]))
+@example(seed=5, n_requests=8, n_vehicles=6, density=0.9, low=2**50,
+         spread=2)
+def test_solver_picks_scipys_optimum(seed, n_requests, n_vehicles, density,
+                                     low, spread):
+    """Not just some optimum: the same edges as scipy, ties included.
+
+    Both shapes, rows without edges, and costs from small ranges so that
+    tied optima are common; ``low = 2**50`` takes the sum past 2**53.
+    """
+    rng = random.Random(seed)
+    rids = tuple(range(n_requests))
+    vids = tuple(100 + v for v in range(n_vehicles))
+    edges = [Edge(r, v, rng.randint(low, low + spread), ())
+             for r in rids for v in vids if rng.random() < density]
+    rng.shuffle(edges)  # the choice must not depend on the edge order
+    graph = BipartiteGraph(rids, vids, tuple(edges), {})
+    assert solve_assignment(graph) == scipy_choice(graph)

@@ -406,6 +406,30 @@ class TestAdvance:
 
 
 class TestRunScenario:
+    def test_runs_load_only_what_they_use(self):
+        # a fresh interpreter, so pytest's own imports do not count
+        script = (
+            "import json, sys\n"
+            "import ridematch\n"
+            "from ridematch.sim import example_config, run_scenario\n"
+            "def loaded():\n"
+            "    return [m in sys.modules\n"
+            "            for m in ('networkx', 'scipy.optimize')]\n"
+            "small = dict(loading_period_s=300, fleet_size=5)\n"
+            "seen = [loaded()]\n"
+            "run_scenario(example_config(matcher='baseline', **small))\n"
+            "seen.append(loaded())\n"
+            "run_scenario(example_config(**small))\n"
+            "seen.append(loaded())\n"
+            "print(json.dumps(seen))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True,
+                              timeout=120)
+        # after the import and a baseline run neither is loaded; a
+        # gmomatch run loads networkx for its merge stage
+        assert json.loads(proc.stdout) == [[False, False], [False, False],
+                                           [True, False]]
+
     def test_optimized_interpreter_same_trip_log(self, tmp_path):
         # invariants are real exceptions, so python -O runs the same code
         script = (
