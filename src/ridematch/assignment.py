@@ -45,10 +45,12 @@ def feasible_vehicles(net: RoadNetwork, request: Request,
     """Vehicles with a free seat that can reach the origin within ``f_r``.
 
     The reachability test uses the vehicle's current network position;
-    vehicles are returned in the order given.
+    vehicles are returned in the order given.  It reads the origin row
+    out to ``f_r``: a vehicle without an entry there is further away, so
+    not in reach.
     """
     out = []
-    to_origin = net.travel_times_to(request.origin)
+    to_origin = net.travel_times_within(request.origin, request.f_r)
     for v in vehicles:
         # reach first: one list read, and most vehicles fail it
         approach = to_origin[v.location]
@@ -66,8 +68,11 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
     Edges, and each request's candidate vehicles, are listed in request
     id order, then vehicle id order.  Pricing goes through ``context``,
     which may carry sides and verdicts from earlier calls; a fresh
-    ``PricingContext`` when None.  The rows into the requests' origins,
-    which the reach filter reads, are computed first, in one batch.
+    ``PricingContext`` when None.  The rows into the requests' origins
+    are computed first, in batches, each out to the largest ``f_r`` of
+    the requests there (``RoadNetwork.fill_within``): the reach filter,
+    the root check and the pickup legs never read an entry beyond it
+    (see ``scheduling``).
 
     A request alone in its group of the same origin, destination and
     ``f_r`` is priced with each candidate through ``path_cost``.  A
@@ -81,11 +86,13 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
         context = PricingContext(net)
     ordered_requests = sorted(requests, key=lambda r: r.id)
     ordered_vehicles = sorted(vehicles, key=lambda v: v.id)
-    net.fill_rows(r.origin for r in ordered_requests)
     groups: dict[tuple[int, int, int], list[Request]] = {}
+    radii: dict[int, int] = {}  # the largest f_r at each origin
     for req in ordered_requests:
         groups.setdefault((req.origin, req.destination, req.f_r),
                           []).append(req)
+        radii[req.origin] = max(req.f_r, radii.get(req.origin, 0))
+    net.fill_within(radii)
     grouped: dict[int, tuple[tuple[int, ...], list[Edge]]] = {}
     for group in groups.values():
         if len(group) > 1:
@@ -169,11 +176,12 @@ def _visits(net: RoadNetwork, t: int, vehicle: Vehicle, tour: Tour,
             request_id: int) -> list[int]:
     """The index in ``tour`` of the request's pickup, the vehicle's
     arrival there, and the same for its dropoff, driving the tour from
-    the vehicle's position as pricing does."""
+    the vehicle's position as pricing does.  ``tour`` is feasible, so
+    every leg is within the rows pricing reads it from."""
     at, clock = vehicle.location, max(t, vehicle.ready_at)
     visits: list[int] = []
     for k, stop in enumerate(tour):
-        clock += net.travel_times_to(stop.node)[at]
+        clock += net.travel_times_within(stop.node, stop.deadline - t)[at]
         at = stop.node
         if stop.request_id == request_id:
             visits += (k, clock)

@@ -11,13 +11,18 @@ leave (the trip log and error messages).  Positions are ranks of sorted
 ids, so every smallest-id tie-break is a smallest-position one.
 
 Travel times are static for the lifetime of a network object.  Every
-query ends at a target, so the only routing state is one distance row
-per target, kept once computed: a list indexed by position holding the
+query ends at a target, so the routing state is distance rows into
+targets, kept once computed: a list indexed by position holding the
 travel time into the target as an ``int``, or None where the target
 cannot be reached; positions with the same time share one ``int``.
-Paths are walked hop by hop from their target's row and never stored.
-Rows are computed in batches by ``scipy.sparse.csgraph.dijkstra`` from
-their targets over a CSR matrix of the reversed links.  It computes in
+There are two kinds of row.  A whole row holds every time.  A bounded
+row holds the times up to its radius and None beyond: pricing tests
+each leg it reads against a deadline, and a leg longer than the time
+left until that deadline fails the test just as a missing one does
+(``travel_times_within``).  Paths are walked hop by hop from their
+target's row and never stored.  Rows are computed in batches by
+``scipy.sparse.csgraph.dijkstra`` from their targets over a CSR matrix
+of the reversed links, a bounded row with its ``limit``.  It computes in
 float64, so the network rejects link times that sum to 2**53 or more:
 below that every path length is an exact integer.
 """
@@ -28,7 +33,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -63,17 +68,22 @@ class RoadNetwork:
 
     Built from node ids and links between ids; ``nodes`` keeps the ids in
     position order, ``position`` maps an id to its position, and
-    ``links`` and every query speak positions.  Read-only after
-    construction: queries may run concurrently, mutation is not
-    supported.  The routing state is ``_dist_to`` only: one distance row
-    into each target queried or filled so far, computed by scipy's
-    compiled Dijkstra over ``_reverse``, the reversed links as a CSR
-    matrix whose row ``i`` holds the in-links of position ``i``.
-    ``fill_rows`` computes many rows in batches of at most
-    ``DIJKSTRA_ENTRIES`` distances, a query the one row it misses.  The
-    total link time is below 2**53, so the float64 distances are exact
-    integers.  A row takes 8 bytes per position for its list slot plus
-    one ``int`` object per distinct travel time in it, which its
+    ``links`` and every query speak positions.  The links never change,
+    but any query may compute a row and cache it, so a network serves
+    one thread; a sweep runs its scenarios in processes.  The routing
+    state is two caches of distance rows, computed by scipy's compiled
+    Dijkstra over ``_reverse``, the reversed links as a CSR matrix whose
+    row ``i`` holds the in-links of position ``i``.  ``_dist_to`` holds
+    the whole row into each target queried or filled so far.
+    ``_within`` holds a bounded row and its radius for each target that
+    ``fill_within`` filled and that has no whole row.  A whole row
+    replaces a bounded one, never the other way round, and a bounded
+    row is only ever regrown to a larger radius.  ``fill_rows`` and
+    ``fill_within`` compute many rows in batches of at most
+    ``DIJKSTRA_ENTRIES`` distances, a query the one whole row it misses.
+    The total link time is below 2**53, so the float64 distances are
+    exact integers.  A row takes 8 bytes per position for its list slot
+    plus one ``int`` object per distinct travel time in it, which its
     positions share; a 40 x 40 grid row holds at most 79 of them.  The
     next hop towards ``dst`` is the smallest-position neighbour ``n``
     with ``link time + dist_to[dst][n] == dist_to[dst][here]``, so
@@ -117,8 +127,10 @@ class RoadNetwork:
         for out in self._out:
             out.sort(key=lambda l: l.dst)
         self._reverse = self._reverse_csr()
-        # lazy distance rows, keyed by target position
+        # lazy distance rows, keyed by target position: whole rows, and
+        # bounded rows with their radius
         self._dist_to: dict[int, list[int | None]] = {}
+        self._within: dict[int, tuple[int, list[int | None]]] = {}
 
     def _reverse_csr(self) -> csr_matrix:
         """The links as a CSR matrix whose row ``i`` holds the in-links of
@@ -140,30 +152,61 @@ class RoadNetwork:
         if not 0 <= node < len(self.nodes):
             raise KeyError(f"no node at position {node}")
 
-    def _dijkstra(self, targets: list[int]) -> list[list[int | None]]:
-        """The rows into ``targets``, from one scipy call.  No other code
-        calls scipy's ``dijkstra``: ``bench/tracer.py`` times this."""
-        return [_row(dist)
-                for dist in dijkstra(self._reverse, indices=targets)]
+    def _dijkstra(self, targets: list[int],
+                  radius: float = math.inf) -> list[list[int | None]]:
+        """The rows into ``targets``, from one scipy call: whole rows, or
+        bounded rows out to ``radius``.  No other code calls scipy's
+        ``dijkstra``: ``bench/tracer.py`` times this."""
+        dists = dijkstra(self._reverse, indices=targets, limit=radius)
+        if radius == math.inf:
+            return [_row(dist) for dist in dists]
+        return [_bounded_row(dist) for dist in dists]
 
     def _distances_to(self, target: int) -> list[int | None]:
         cached = self._dist_to.get(target)
         if cached is None:
             [cached] = self._dijkstra([target])
             self._dist_to[target] = cached
+            self._within.pop(target, None)
         return cached
 
     def fill_rows(self, targets: Iterable[int]) -> None:
-        """Compute the row into each of ``targets`` that is not cached
-        yet, ``DIJKSTRA_ENTRIES`` distances per scipy call; a batch
-        costs less than a call per row."""
+        """Compute the whole row into each of ``targets`` that is not
+        cached yet, ``DIJKSTRA_ENTRIES`` distances per scipy call; a
+        batch costs less than a call per row."""
         missing = [t for t in dict.fromkeys(targets) if t not in self._dist_to]
-        for target in missing:
+        self._fill([(math.inf, t) for t in missing])
+
+    def fill_within(self, radii: Mapping[int, int]) -> None:
+        """Give each target in ``radii`` a row exact out to at least its
+        radius: the whole row if it is cached, else a bounded row,
+        computed in batches as ``fill_rows`` does and regrown when its
+        radius is smaller.  A batch reaches out to its largest radius,
+        and each of its rows records that one."""
+        within = self._within
+        self._fill(sorted(
+            (radius, t) for t, radius in radii.items()
+            if t not in self._dist_to
+            and (t not in within or within[t][0] < radius)))
+
+    def _fill(self, missing: list[tuple[float, int]]) -> None:
+        """The row into each target of ``missing``, a list of (radius,
+        target) in ascending order, out to that radius or further: whole
+        where it is ``inf``."""
+        for _, target in missing:
             self._require(target)
         step = max(1, DIJKSTRA_ENTRIES // max(len(self.nodes), 1))
         for i in range(0, len(missing), step):
-            chunk = missing[i:i + step]
-            self._dist_to.update(zip(chunk, self._dijkstra(chunk)))
+            batch = missing[i:i + step]
+            radius, chunk = batch[-1][0], [t for _, t in batch]
+            if radius == math.inf:
+                self._dist_to.update(zip(chunk, self._dijkstra(chunk)))
+                for target in chunk:
+                    self._within.pop(target, None)
+            else:
+                self._within.update(
+                    (t, (radius, row))
+                    for t, row in zip(chunk, self._dijkstra(chunk, radius)))
 
     def shortest_travel_time(self, src: int, dst: int) -> int | None:
         """Minimal travel time in seconds over any directed path.
@@ -182,6 +225,24 @@ class RoadNetwork:
         self._require(dst)
         return self._distances_to(dst)
 
+    def travel_times_within(self, dst: int,
+                            radius: int) -> list[int | None]:
+        """Travel times to ``dst`` from every position, exact wherever
+        they are at most ``radius``; beyond it an entry may read None.
+        This is the whole row if it is cached, else a bounded row that
+        reaches ``radius``, else the whole row, computed; do not modify
+        it.  A leg read at a clock of ``t`` or later and tested against a
+        deadline ``q`` needs no entry beyond ``q - t``: a longer leg
+        misses the deadline, and so does a missing one."""
+        row = self._dist_to.get(dst)
+        if row is None:
+            bounded = self._within.get(dst)
+            if bounded is not None and bounded[0] >= radius:
+                return bounded[1]
+            self._require(dst)
+            row = self._distances_to(dst)
+        return row
+
     def reachable_from(self, src: int) -> set[int]:
         """Every position some directed path from ``src`` reaches, ``src``
         included; a walk over the out-links that keeps no state."""
@@ -198,10 +259,21 @@ class RoadNetwork:
     def next_link(self, src: int, dst: int) -> Link | None:
         """First link of a time-shortest path from ``src`` to ``dst``, to the
         smallest position among equal-cost choices; None when ``src ==
-        dst`` or ``dst`` is unreachable."""
+        dst`` or ``dst`` is unreachable.
+
+        Reads the whole row into ``dst`` if it is cached, else the
+        bounded row if that has an entry at ``src``: every neighbour on
+        a shortest path is nearer still, so it has its entry too, and no
+        other neighbour matches.  Else it computes the whole row."""
         self._require(src)
         self._require(dst)
-        dist_to = self._distances_to(dst)
+        dist_to = self._dist_to.get(dst)
+        if dist_to is None:
+            bounded = self._within.get(dst)
+            if bounded is not None and bounded[1][src] is not None:
+                dist_to = bounded[1]
+            else:
+                dist_to = self._distances_to(dst)
         remain = dist_to[src]
         if remain is None or src == dst:
             return None
@@ -231,6 +303,18 @@ def _row(dist: np.ndarray) -> list[int | None]:
     values = (times.astype(np.int64).tolist() if times[-1] < np.inf
               else times[:-1].astype(np.int64).tolist() + [None])
     return np.array(values, dtype=object)[times.searchsorted(dist)].tolist()
+
+
+def _bounded_row(dist: np.ndarray) -> list[int | None]:
+    """A float64 distance array cut off at a radius as a routing row,
+    None for inf, built from its finite entries alone: every position
+    with the same time holds the same ``int`` object."""
+    row: list[int | None] = [None] * len(dist)
+    at = np.flatnonzero(dist < np.inf)
+    shared: dict[int, int] = {}
+    for i, time in zip(at.tolist(), dist[at].astype(np.int64).tolist()):
+        row[i] = shared.setdefault(time, time)
+    return row
 
 
 REQUIRED = object()  # the default of a field a record must give

@@ -36,6 +36,18 @@ by its deadline, or only at or after the best completion so far.
 Completion is never earlier than any stop's arrival and a tie never
 replaces the earlier plan, so the cuts drop only plans that cannot win
 and the first optimum in enumeration order still wins.
+
+A leg reads the row into its stop through
+``RoadNetwork.travel_times_within``, exact out to the stop's deadline
+minus ``t``.  The search's clock never starts before ``t``, so a longer
+leg misses the deadline, and a missing entry (None) is treated as such a
+miss everywhere: the root check returns ``INFEASIBLE``, ``_cheapest``
+cuts the branch and ``_hopeless`` gives it up.  A pickup is due at
+``q_r = t_r + f_r``, and a request is priced only at ``t >= t_r``, so
+the bounded origin rows ``assignment.build_bipartite`` fills out to
+``f_r`` serve the root check and every pickup leg, on either side of an
+insertion search and in the blocks of a merge.  Dropoff legs read the
+whole rows into the destinations, which the demand loaders fill.
 """
 
 from __future__ import annotations
@@ -89,10 +101,13 @@ Leg = tuple[Sequence[int | None], int, int, int, Stop]
 Unit = tuple[Leg, ...]
 
 
-def search_unit(net: RoadNetwork, stops: Sequence[Stop]) -> Unit:
-    """The pricing search's unit that places ``stops`` together, in order."""
-    return tuple((net.travel_times_to(s.node), s.node, s.deadline, s.kind, s)
-                 for s in stops)
+def search_unit(net: RoadNetwork, stops: Sequence[Stop], t: int) -> Unit:
+    """The pricing search's unit that places ``stops`` together, in order,
+    for searches whose clock starts at ``t`` or later: each leg's row is
+    exact out to its stop's deadline minus ``t``, and a leg beyond that
+    misses the deadline."""
+    return tuple((net.travel_times_within(s.node, s.deadline - t), s.node,
+                  s.deadline, s.kind, s) for s in stops)
 
 
 # tours with at most this many distinct requests are priced exhaustively
@@ -143,7 +158,9 @@ class PricingContext:
     stop no later.  The empty tour ``()`` is one shared object, so an
     idle vehicle keeps its record; its verdicts hold by the same rule,
     with no riders, and the triangle inequality.  ``retire`` drops the
-    requests that left pending.
+    requests that left pending.  A side built at update time ``t`` reads
+    each stop's row out to its deadline minus ``t``, which serves every
+    later update as well: a run's update times never decrease.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -172,11 +189,11 @@ class PricingContext:
         ``path_cost`` does when its search finds no feasible plan."""
         self._record(vehicle).infeasible.add(request_id)
 
-    def vehicle_side(self, vehicle: Vehicle) -> Side:
+    def vehicle_side(self, vehicle: Vehicle, t: int) -> Side:
         record = self._record(vehicle)
         if record.side is None:
             tour = vehicle.tour
-            units = tuple(search_unit(self.net, (s,)) for s in tour)
+            units = tuple(search_unit(self.net, (s,), t) for s in tour)
             # every rider has a stop in the tour, so this counts its
             # requests: few enough to re-order, or keep the order and
             # insert the pair, which then comes first
@@ -190,14 +207,14 @@ class PricingContext:
                 record.side = (False, units, _chained(2, len(tour)))
         return record.side
 
-    def request_side(self, request: Request) -> tuple[Unit, Unit]:
+    def request_side(self, request: Request, t: int) -> tuple[Unit, Unit]:
         side = self._requests.get(request.id)
         if side is None:
             pair = (Stop(PICKUP, request.id, request.origin, request.q_r),
                     Stop(DROPOFF, request.id, request.destination,
                          request.l_r))
             side = self._requests[request.id] = tuple(
-                search_unit(self.net, (s,)) for s in pair)
+                search_unit(self.net, (s,), t) for s in pair)
         return side
 
 
@@ -231,11 +248,12 @@ def _priced(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
     if vehicle.available_capacity < 1:
         return INFEASIBLE
     # no tour reaches the pickup sooner than straight from the departure
-    approach = net.travel_times_to(request.origin)[vehicle.location]
+    approach = net.travel_times_within(request.origin,
+                                       request.q_r - t)[vehicle.location]
     depart = max(t, vehicle.ready_at)
     if approach is None or depart + approach > request.q_r:
         return INFEASIBLE
-    pair = context.request_side(request)
+    pair = context.request_side(request, t)
     if not vehicle.tour:
         # nothing is aboard, so the seat test covers the load
         dropoff = pair[1][0]
@@ -244,7 +262,7 @@ def _priced(net: RoadNetwork, t: int, vehicle: Vehicle, request: Request,
             return INFEASIBLE
         return PlanResult(True, depart + approach + direct - t,
                           (pair[0][0][4], dropoff[4]))
-    tour_first, units, after = context.vehicle_side(vehicle)
+    tour_first, units, after = context.vehicle_side(vehicle, t)
     if tour_first:
         return _cheapest(t, vehicle, units + pair, after)
     return _cheapest(t, vehicle, pair + units, after)
@@ -266,9 +284,9 @@ def split_merge_cost(net: RoadNetwork, t: int, donor: Vehicle,
     (first block slot, second block slot) order and the plan is priced
     from the recipient's position.  Ties keep the first candidate.
     """
-    blocks = [search_unit(net, part) for part in split_tour(donor.tour)
+    blocks = [search_unit(net, part, t) for part in split_tour(donor.tour)
               if part]
-    units = blocks + [search_unit(net, (s,)) for s in recipient.tour]
+    units = blocks + [search_unit(net, (s,), t) for s in recipient.tour]
     return _cheapest(t, recipient, units,
                      _chained(len(blocks), len(recipient.tour)))
 

@@ -11,6 +11,7 @@ Bellman-Ford travel-time table.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -57,13 +58,14 @@ def smallest_shortest_path(links, src, dst):
     return None if best is None else tuple(best[1])
 
 
-_times_cache: dict[int, dict] = {}
+# keyed by the network itself: an id outlives its network and is reused
+_times_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def travel_times(net):
     """All-pairs travel-time table for a network, via Bellman-Ford, keyed
     by node positions like the network's links."""
-    table = _times_cache.get(id(net))
+    table = _times_cache.get(net)
     if table is None:
         links = [(l.src, l.dst, l.travel_time_s) for l in net.links]
         nodes = range(len(net.nodes))
@@ -71,7 +73,7 @@ def travel_times(net):
         for src in nodes:
             for dst, d in bellman_ford(nodes, links, src).items():
                 table[(src, dst)] = d
-        _times_cache[id(net)] = table
+        _times_cache[net] = table
     return table
 
 

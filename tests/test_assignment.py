@@ -132,6 +132,31 @@ class TestBuildBipartite:
         assert graph.feasible_sets[1] == (0,)
         assert graph.edges == ()
 
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_vehicle_exactly_f_r_away_keeps_its_edge(self, group):
+        # priced at t == t_r, both cabs are exactly f_r = 120 s from the
+        # origin: one idle, one dropping a rider off on the way.  The
+        # origin row, built out to f_r, must hold them; a second request
+        # of the same OD and f_r is priced from the first one's plans
+        net = RoadNetwork(range(5), [Link(a, b, 500.0, 60)
+                                     for a in range(5) for b in range(5)
+                                     if abs(a - b) == 1])
+        requests = [make_request(rid, 0, 2, 4, 120, net)
+                    for rid in range(1, group + 1)]
+        r7 = make_request(7, 0, 4, 3, 600, net)
+        fleet = [make_vehicle(0, 0),
+                 make_vehicle(1, 4, onboard={7}, tour=(dropoff(r7),))]
+        graph = build_bipartite(net, 0, requests, fleet)
+        assert graph.feasible_sets == {r.id: (0, 1) for r in requests}
+        assert {(e.request_id, e.vehicle_id) for e in graph.edges} \
+            == {(r.id, v.id) for r in requests for v in fleet}
+        # every read of the origin row was served by the bounded row
+        assert net._within[2][0] == 120 and 2 not in net._dist_to
+        # and it prices as whole rows do
+        whole = RoadNetwork(net.nodes, net.links)
+        whole.fill_rows(range(5))
+        assert build_bipartite(whole, 0, requests, fleet) == graph
+
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 4),

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ridematch import network
 from ridematch.network import (MAX_NODES, Link, NetworkFormatError,
@@ -198,6 +199,72 @@ class TestBatchedRows:
         for target in range(len(net.nodes)):
             row = net.travel_times_to(target)
             assert len(set(map(id, row))) == len(set(row))
+
+
+def directed_network(rng, n, density):
+    """``n`` shuffled ids in two parts.  Links are one-way or both ways,
+    with times drawn per direction, and none leads from the second part
+    back into the first, which the second part therefore cannot reach."""
+    ids = rng.sample(range(100), n)
+    first = set(ids[:rng.randrange(1, n + 1)])
+    links = [Link(a, b, 100.0, rng.randrange(1, 30))
+             for a in ids for b in ids
+             if a != b and (a in first or b not in first)
+             and rng.random() < density]
+    return ids, links
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+       density=st.floats(0.1, 0.6))
+def test_bounded_rows_agree_with_whole_rows(seed, n, density):
+    rng = random.Random(seed)
+    ids, links = directed_network(rng, n, density)
+    whole = RoadNetwork(ids, links)
+    rows = [whole.travel_times_to(dst) for dst in range(n)]
+    top = max((d for row in rows for d in row if d is not None), default=0)
+    for dst in range(n):
+        net = RoadNetwork(ids, links)
+        radii = sorted(rng.sample(range(top + 2), min(3, top + 2)))
+        for radius in radii:  # each a regrowth of the one before
+            net.fill_within({dst: radius})
+            got, row = net._within[dst]
+            assert got == radius
+            # exact out to the radius, None beyond
+            assert row == [d if d is not None and d <= radius else None
+                           for d in rows[dst]]
+            assert net.travel_times_within(dst, radius) is row
+            for src in range(n):
+                if row[src] is not None:
+                    assert net.next_link(src, dst) \
+                        == whole.next_link(src, dst)
+            # read from the bounded row: no whole row was computed
+            assert dst not in net._dist_to
+        net.fill_within({dst: radii[0]})  # a smaller radius keeps the row
+        got, kept = net._within[dst]
+        assert got == radii[-1] and kept is row
+        # a wider read, or a hop from beyond the radius, computes the
+        # whole row, which then wins over any fill
+        far = [src for src in range(n) if row[src] is None]
+        if far:
+            src = rng.choice(far)
+            assert net.next_link(src, dst) == whole.next_link(src, dst)
+        else:
+            assert net.travel_times_within(dst, radii[-1] + 1) == rows[dst]
+        assert net._dist_to[dst] == rows[dst] and dst not in net._within
+        net.fill_within({dst: top + 1})
+        assert dst not in net._within
+        assert net.travel_times_within(dst, 0) is net._dist_to[dst]
+    # targets with different radii in one batch: each row reaches at
+    # least its own radius, and records how far it does reach
+    net = RoadNetwork(ids, links)
+    asked = {dst: rng.randrange(top + 2) for dst in range(n)}
+    net.fill_within(asked)
+    for dst, radius in asked.items():
+        reach, row = net._within[dst]
+        assert reach >= radius
+        assert row == [d if d is not None and d <= reach else None
+                       for d in rows[dst]]
 
 
 class TestConstruction:

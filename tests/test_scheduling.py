@@ -270,16 +270,18 @@ class TestPathCost:
 
 
 class RecordingNet:
-    """A network whose routing rows note every node they are read at."""
+    """A network whose routing rows note every node they are read at;
+    pricing reads every row through ``travel_times_within``."""
 
     def __init__(self, net):
         self.net = net
         self.rows_built = []  # targets whose row was asked for, in order
         self.read_at = set()
 
-    def travel_times_to(self, dst):
+    def travel_times_within(self, dst, radius):
         self.rows_built.append(dst)
-        return RecordingRow(self.net.travel_times_to(dst), self.read_at)
+        return RecordingRow(self.net.travel_times_within(dst, radius),
+                            self.read_at)
 
 
 class RecordingRow(list):
@@ -319,7 +321,9 @@ class TestPricingBounds:
             assert plan.cost == oracle_cost
         else:
             assert plan == INFEASIBLE
-            assert recording.rows_built == [r9.origin]  # no leg built
+            # no leg built: one read, of the origin row at the cab
+            assert recording.rows_built == [r9.origin]
+            assert recording.read_at == {veh.location}
 
     def test_search_cut_fires_mid_tour(self, line_net):
         # cab at node 2 holds rider 1 (1 -> 0, due at 0 by 120); rider 2

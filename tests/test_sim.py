@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ridematch import engine
 from ridematch.metrics import compute_metrics
 from ridematch.model import SERVED
 from ridematch.network import Link, RoadNetwork
@@ -516,7 +517,8 @@ class TestRunScenario:
             self, tmp_path, kind, matcher):
         # origins 0-5 and destinations 30-35 of a 6 x 6 grid never meet;
         # a flexibility below the update interval lets a request expire
-        # before any update prices it, and its origin then gets no row
+        # before any update prices it, and its origin then gets no row.
+        # Destinations get whole rows, priced origins bounded ones
         pairs = [(o, 35 - o) for o in range(6)]
         if kind == "file":
             path = tmp_path / "requests.json"
@@ -539,8 +541,68 @@ class TestRunScenario:
                   if -(-r.t_r // delta) * delta <= r.q_r}
         destinations = {r.destination for r in result.state.requests}
         assert destinations == {d for _, d in pairs}
-        assert set(result.state.net._dist_to) == destinations | priced
+        net = result.state.net
+        assert set(net._dist_to) == destinations
+        assert set(net._within) == priced - destinations
         assert set(range(6)) - priced  # some origin expired unpriced
+
+    @pytest.mark.parametrize("matcher", ["gmomatch", "baseline"])
+    def test_bounded_origin_rows_change_nothing(self, tmp_path, monkeypatch,
+                                                matcher):
+        # a 6 x 6 grid whose link times differ by direction, and requests
+        # with their own flexibilities, a few ODs repeating: every round's
+        # graph and the trip log equal a run whose origin rows are whole
+        rng = np.random.default_rng(23)
+        links = [{"from": a, "to": b, "length_m": 400.0,
+                  "travel_time_s": int(rng.integers(20, 90))}
+                 for a in range(36) for b in range(36)
+                 if abs(a - b) == 6 or (abs(a - b) == 1 and a // 6 == b // 6)]
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps({
+            "nodes": [{"id": n} for n in range(36)], "links": links}))
+        ods = [tuple(rng.choice(36, 2, replace=False).tolist())
+               for _ in range(12)]
+        records = []
+        for t_r in sorted(rng.integers(0, 1200, 60).tolist()):
+            o, d = ods[rng.integers(len(ods))]
+            rec = {"t_r": t_r, "origin": o, "destination": d}
+            flex = rng.choice([-1, 0, 45, 90, 180, 300, 600])
+            if flex >= 0:  # else the config's 240 s
+                rec["flexibility_s"] = int(flex)
+            records.append(rec)
+        req_path = tmp_path / "requests.json"
+        req_path.write_text(json.dumps({"requests": records}))
+        cfg = ScenarioConfig.from_dict(minimal_doc(
+            network={"kind": "file", "path": str(net_path)},
+            demand={"kind": "file", "path": str(req_path)},
+            loading_period_s=1200, fleet_size=6, capacity=3,
+            matcher=matcher, seed=5))
+
+        def run(whole):
+            graphs = []
+            real = engine.build_bipartite
+
+            def spy(*args, **kwargs):
+                graphs.append(real(*args, **kwargs))
+                return graphs[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(engine, "build_bipartite", spy)
+                if whole:
+                    m.setattr(RoadNetwork, "fill_within",
+                              lambda net, radii: net.fill_rows(radii))
+                result = run_scenario(cfg)
+            path = tmp_path / f"trips-{whole}.csv"
+            write_trip_log(path, result.trip_records)
+            return result, graphs, path.read_bytes()
+
+        bounded, graphs, log = run(whole=False)
+        whole, whole_graphs, whole_log = run(whole=True)
+        assert bounded.state.net._within and not whole.state.net._within
+        assert any(g.edges for g in graphs)
+        assert sum(r["status"] == SERVED for r in bounded.trip_records) > 10
+        assert graphs == whole_graphs
+        assert log == whole_log
 
     def test_vehicles_quiesce(self):
         result = run_scenario(example_config(seed=2))
