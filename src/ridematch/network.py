@@ -15,16 +15,16 @@ query ends at a target, so the routing state is distance rows into
 targets, kept once computed: a list indexed by position holding the
 travel time into the target as an ``int``, or None where the target
 cannot be reached; positions with the same time share one ``int``.
-There are two kinds of row.  A whole row holds every time.  A bounded
-row holds the times up to its radius and None beyond: pricing tests
-each leg it reads against a deadline, and a leg longer than the time
-left until that deadline fails the test just as a missing one does
-(``travel_times_within``).  Paths are walked hop by hop from their
-target's row and never stored.  Rows are computed in batches by
-``scipy.sparse.csgraph.dijkstra`` from their targets over a CSR matrix
-of the reversed links, a bounded row with its ``limit``.  It computes in
-float64, so the network rejects link times that sum to 2**53 or more:
-below that every path length is an exact integer.
+A row is exact out to its reach.  A whole row's reach is ``inf``: it
+holds every time.  A bounded row holds the times up to its radius and
+None beyond: pricing tests each leg it reads against a deadline, and a
+leg longer than the time left until that deadline fails the test just
+as a missing one does (``travel_times_within``).  Paths are walked hop
+by hop from their target's row and never stored.  Rows are computed in
+batches by ``scipy.sparse.csgraph.dijkstra`` from their targets over a
+CSR matrix of the reversed links, a bounded row with its ``limit``.  It
+computes in float64, so the network rejects link times that sum to
+2**53 or more: below that every path length is an exact integer.
 """
 
 from __future__ import annotations
@@ -71,23 +71,22 @@ class RoadNetwork:
     ``links`` and every query speak positions.  The links never change,
     but any query may compute a row and cache it, so a network serves
     one thread; a sweep runs its scenarios in processes.  The routing
-    state is two caches of distance rows, computed by scipy's compiled
-    Dijkstra over ``_reverse``, the reversed links as a CSR matrix whose
-    row ``i`` holds the in-links of position ``i``.  ``_dist_to`` holds
-    the whole row into each target queried or filled so far.
-    ``_within`` holds a bounded row and its radius for each target that
-    ``fill_within`` filled and that has no whole row.  A whole row
-    replaces a bounded one, never the other way round, and a bounded
-    row is only ever regrown to a larger radius.  ``fill_rows`` and
-    ``fill_within`` compute many rows in batches of at most
-    ``DIJKSTRA_ENTRIES`` distances, a query the one whole row it misses.
-    The total link time is below 2**53, so the float64 distances are
-    exact integers.  A row takes 8 bytes per position for its list slot
-    plus one ``int`` object per distinct travel time in it, which its
-    positions share; a 40 x 40 grid row holds at most 79 of them.  The
-    next hop towards ``dst`` is the smallest-position neighbour ``n``
-    with ``link time + dist_to[dst][n] == dist_to[dst][here]``, so
-    identical queries always return identical paths.
+    state is one cache, ``_rows``, of distance rows computed by scipy's
+    compiled Dijkstra over ``_reverse``, the reversed links as a CSR
+    matrix whose row ``i`` holds the in-links of position ``i``.  It
+    maps each target queried or filled so far to its reach and its row:
+    the row is exact out to the reach, and a whole row's reach is
+    ``inf``.  A row is only ever replaced by one of larger reach.
+    ``fill_rows`` and ``fill_within`` compute many rows in batches of at
+    most ``DIJKSTRA_ENTRIES`` distances, a query the one whole row it
+    misses.  The total link time is below 2**53, so the float64
+    distances are exact integers.  A row takes 8 bytes per position for
+    its list slot plus one ``int`` object per distinct travel time in
+    it, which its positions share; a 40 x 40 grid row holds at most 79
+    of them.  The next hop towards ``dst`` is the smallest-position
+    neighbour ``n`` with ``link time + dist_to[dst][n] ==
+    dist_to[dst][here]``, so identical queries always return identical
+    paths.
     """
 
     def __init__(self, nodes: Iterable[int], links: Iterable[Link]):
@@ -127,10 +126,9 @@ class RoadNetwork:
         for out in self._out:
             out.sort(key=lambda l: l.dst)
         self._reverse = self._reverse_csr()
-        # lazy distance rows, keyed by target position: whole rows, and
-        # bounded rows with their radius
-        self._dist_to: dict[int, list[int | None]] = {}
-        self._within: dict[int, tuple[int, list[int | None]]] = {}
+        # lazy distance rows, keyed by target position, each with its
+        # reach: inf for a whole row, a radius for a bounded one
+        self._rows: dict[int, tuple[float, list[int | None]]] = {}
 
     def _reverse_csr(self) -> csr_matrix:
         """The links as a CSR matrix whose row ``i`` holds the in-links of
@@ -156,57 +154,38 @@ class RoadNetwork:
                   radius: float = math.inf) -> list[list[int | None]]:
         """The rows into ``targets``, from one scipy call: whole rows, or
         bounded rows out to ``radius``.  No other code calls scipy's
-        ``dijkstra``: ``bench/tracer.py`` times this."""
+        ``dijkstra``: ``bench/tracer.py`` times this.  Each kind has its
+        own builder, more than twice as fast as the other one on it: a
+        bounded row's finite entries are few, and ``_bounded_row``
+        touches those alone."""
         dists = dijkstra(self._reverse, indices=targets, limit=radius)
-        if radius == math.inf:
-            return [_row(dist) for dist in dists]
-        return [_bounded_row(dist) for dist in dists]
-
-    def _distances_to(self, target: int) -> list[int | None]:
-        cached = self._dist_to.get(target)
-        if cached is None:
-            [cached] = self._dijkstra([target])
-            self._dist_to[target] = cached
-            self._within.pop(target, None)
-        return cached
+        build = _row if radius == math.inf else _bounded_row
+        return [build(dist) for dist in dists]
 
     def fill_rows(self, targets: Iterable[int]) -> None:
         """Compute the whole row into each of ``targets`` that is not
         cached yet, ``DIJKSTRA_ENTRIES`` distances per scipy call; a
         batch costs less than a call per row."""
-        missing = [t for t in dict.fromkeys(targets) if t not in self._dist_to]
-        self._fill([(math.inf, t) for t in missing])
+        self.fill_within(dict.fromkeys(targets, math.inf))
 
-    def fill_within(self, radii: Mapping[int, int]) -> None:
+    def fill_within(self, radii: Mapping[int, float]) -> None:
         """Give each target in ``radii`` a row exact out to at least its
-        radius: the whole row if it is cached, else a bounded row,
-        computed in batches as ``fill_rows`` does and regrown when its
-        radius is smaller.  A batch reaches out to its largest radius,
+        radius, whole where that is ``inf``: a cached row of that reach
+        stays, the others are computed in batches as ``fill_rows`` does,
+        in order of radius.  A batch reaches out to its largest radius,
         and each of its rows records that one."""
-        within = self._within
-        self._fill(sorted(
-            (radius, t) for t, radius in radii.items()
-            if t not in self._dist_to
-            and (t not in within or within[t][0] < radius)))
-
-    def _fill(self, missing: list[tuple[float, int]]) -> None:
-        """The row into each target of ``missing``, a list of (radius,
-        target) in ascending order, out to that radius or further: whole
-        where it is ``inf``."""
-        for _, target in missing:
+        rows = self._rows
+        missing = sorted((t for t, radius in radii.items()
+                          if t not in rows or rows[t][0] < radius),
+                         key=radii.__getitem__)
+        for target in missing:
             self._require(target)
         step = max(1, DIJKSTRA_ENTRIES // max(len(self.nodes), 1))
         for i in range(0, len(missing), step):
-            batch = missing[i:i + step]
-            radius, chunk = batch[-1][0], [t for _, t in batch]
-            if radius == math.inf:
-                self._dist_to.update(zip(chunk, self._dijkstra(chunk)))
-                for target in chunk:
-                    self._within.pop(target, None)
-            else:
-                self._within.update(
-                    (t, (radius, row))
-                    for t, row in zip(chunk, self._dijkstra(chunk, radius)))
+            chunk = missing[i:i + step]
+            radius = radii[chunk[-1]]
+            built = self._dijkstra(chunk, radius)
+            rows.update((t, (radius, row)) for t, row in zip(chunk, built))
 
     def shortest_travel_time(self, src: int, dst: int) -> int | None:
         """Minimal travel time in seconds over any directed path.
@@ -215,33 +194,28 @@ class RoadNetwork:
         always reachable from itself at cost 0.
         """
         self._require(src)
-        self._require(dst)
-        return self._distances_to(dst)[src]
+        return self.travel_times_to(dst)[src]
 
     def travel_times_to(self, dst: int) -> list[int | None]:
         """Travel times to ``dst`` from every position, None where there
         is no route; the list is the routing cache itself, so do not
         modify it."""
-        self._require(dst)
-        return self._distances_to(dst)
+        return self.travel_times_within(dst, math.inf)
 
     def travel_times_within(self, dst: int,
-                            radius: int) -> list[int | None]:
+                            radius: float) -> list[int | None]:
         """Travel times to ``dst`` from every position, exact wherever
         they are at most ``radius``; beyond it an entry may read None.
-        This is the whole row if it is cached, else a bounded row that
-        reaches ``radius``, else the whole row, computed; do not modify
-        it.  A leg read at a clock of ``t`` or later and tested against a
-        deadline ``q`` needs no entry beyond ``q - t``: a longer leg
-        misses the deadline, and so does a missing one."""
-        row = self._dist_to.get(dst)
-        if row is None:
-            bounded = self._within.get(dst)
-            if bounded is not None and bounded[0] >= radius:
-                return bounded[1]
-            self._require(dst)
-            row = self._distances_to(dst)
-        return row
+        This is the cached row if it reaches ``radius``, else the whole
+        row, computed; do not modify it.  A leg read at a clock of ``t``
+        or later and tested against a deadline ``q`` needs no entry
+        beyond ``q - t``: a longer leg misses the deadline, and so does a
+        missing one."""
+        cached = self._rows.get(dst)
+        if cached is None or cached[0] < radius:
+            self.fill_within({dst: math.inf})
+            cached = self._rows[dst]
+        return cached[1]
 
     def reachable_from(self, src: int) -> set[int]:
         """Every position some directed path from ``src`` reaches, ``src``
@@ -261,19 +235,16 @@ class RoadNetwork:
         smallest position among equal-cost choices; None when ``src ==
         dst`` or ``dst`` is unreachable.
 
-        Reads the whole row into ``dst`` if it is cached, else the
-        bounded row if that has an entry at ``src``: every neighbour on
-        a shortest path is nearer still, so it has its entry too, and no
-        other neighbour matches.  Else it computes the whole row."""
+        Reads the cached row into ``dst`` if it has an entry at ``src``:
+        on a bounded row every neighbour on a shortest path is nearer
+        still, so it has its entry too, and no other neighbour matches.
+        Else it reads the whole row, computed if need be."""
         self._require(src)
-        self._require(dst)
-        dist_to = self._dist_to.get(dst)
-        if dist_to is None:
-            bounded = self._within.get(dst)
-            if bounded is not None and bounded[1][src] is not None:
-                dist_to = bounded[1]
-            else:
-                dist_to = self._distances_to(dst)
+        cached = self._rows.get(dst)
+        if cached is None or cached[1][src] is None:
+            dist_to = self.travel_times_to(dst)
+        else:
+            dist_to = cached[1]
         remain = dist_to[src]
         if remain is None or src == dst:
             return None

@@ -151,7 +151,7 @@ class TestBuildBipartite:
         assert {(e.request_id, e.vehicle_id) for e in graph.edges} \
             == {(r.id, v.id) for r in requests for v in fleet}
         # every read of the origin row was served by the bounded row
-        assert net._within[2][0] == 120 and 2 not in net._dist_to
+        assert net._rows[2][0] == 120
         # and it prices as whole rows do
         whole = RoadNetwork(net.nodes, net.links)
         whole.fill_rows(range(5))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -171,9 +172,9 @@ class TestBatchedRows:
         batches = []
         real = RoadNetwork._dijkstra
 
-        def spy(self, targets):
+        def spy(self, targets, *radius):
             batches.append(list(targets))
-            return real(self, targets)
+            return real(self, targets, *radius)
 
         monkeypatch.setattr(RoadNetwork, "_dijkstra", spy)
         # three targets per scipy call
@@ -228,7 +229,7 @@ def test_bounded_rows_agree_with_whole_rows(seed, n, density):
         radii = sorted(rng.sample(range(top + 2), min(3, top + 2)))
         for radius in radii:  # each a regrowth of the one before
             net.fill_within({dst: radius})
-            got, row = net._within[dst]
+            got, row = net._rows[dst]
             assert got == radius
             # exact out to the radius, None beyond
             assert row == [d if d is not None and d <= radius else None
@@ -239,9 +240,9 @@ def test_bounded_rows_agree_with_whole_rows(seed, n, density):
                     assert net.next_link(src, dst) \
                         == whole.next_link(src, dst)
             # read from the bounded row: no whole row was computed
-            assert dst not in net._dist_to
+            assert net._rows[dst][1] is row
         net.fill_within({dst: radii[0]})  # a smaller radius keeps the row
-        got, kept = net._within[dst]
+        got, kept = net._rows[dst]
         assert got == radii[-1] and kept is row
         # a wider read, or a hop from beyond the radius, computes the
         # whole row, which then wins over any fill
@@ -251,17 +252,18 @@ def test_bounded_rows_agree_with_whole_rows(seed, n, density):
             assert net.next_link(src, dst) == whole.next_link(src, dst)
         else:
             assert net.travel_times_within(dst, radii[-1] + 1) == rows[dst]
-        assert net._dist_to[dst] == rows[dst] and dst not in net._within
+        assert net._rows[dst] == (math.inf, rows[dst])
+        row = net._rows[dst][1]
         net.fill_within({dst: top + 1})
-        assert dst not in net._within
-        assert net.travel_times_within(dst, 0) is net._dist_to[dst]
+        assert net._rows[dst] == (math.inf, row)
+        assert net.travel_times_within(dst, 0) is row
     # targets with different radii in one batch: each row reaches at
     # least its own radius, and records how far it does reach
     net = RoadNetwork(ids, links)
     asked = {dst: rng.randrange(top + 2) for dst in range(n)}
     net.fill_within(asked)
     for dst, radius in asked.items():
-        reach, row = net._within[dst]
+        reach, row = net._rows[dst]
         assert reach >= radius
         assert row == [d if d is not None and d <= reach else None
                        for d in rows[dst]]

@@ -123,7 +123,7 @@ class TestConfig:
         net = build_network(cfg)
         with pytest.raises(ConfigError, match="unknown node: 0->99"):
             check_demand_reachability(cfg, net)
-        assert not net._dist_to
+        assert not net._rows
 
     def test_uniform_demand_needs_two_nodes(self):
         # a one-node network has no pair with origin != destination to draw
@@ -542,8 +542,10 @@ class TestRunScenario:
         destinations = {r.destination for r in result.state.requests}
         assert destinations == {d for _, d in pairs}
         net = result.state.net
-        assert set(net._dist_to) == destinations
-        assert set(net._within) == priced - destinations
+        reach = {t: r for t, (r, _) in net._rows.items()}
+        assert {t for t, r in reach.items() if r == math.inf} == destinations
+        assert {t for t, r in reach.items() if r < math.inf} \
+            == priced - destinations
         assert set(range(6)) - priced  # some origin expired unpriced
 
     @pytest.mark.parametrize("matcher", ["gmomatch", "baseline"])
@@ -581,6 +583,7 @@ class TestRunScenario:
         def run(whole):
             graphs = []
             real = engine.build_bipartite
+            fill_within = RoadNetwork.fill_within
 
             def spy(*args, **kwargs):
                 graphs.append(real(*args, **kwargs))
@@ -590,7 +593,8 @@ class TestRunScenario:
                 m.setattr(engine, "build_bipartite", spy)
                 if whole:
                     m.setattr(RoadNetwork, "fill_within",
-                              lambda net, radii: net.fill_rows(radii))
+                              lambda net, radii: fill_within(
+                                  net, dict.fromkeys(radii, math.inf)))
                 result = run_scenario(cfg)
             path = tmp_path / f"trips-{whole}.csv"
             write_trip_log(path, result.trip_records)
@@ -598,7 +602,10 @@ class TestRunScenario:
 
         bounded, graphs, log = run(whole=False)
         whole, whole_graphs, whole_log = run(whole=True)
-        assert bounded.state.net._within and not whole.state.net._within
+        def reaches(result):
+            return {r for r, _ in result.state.net._rows.values()}
+
+        assert reaches(bounded) - {math.inf} and reaches(whole) == {math.inf}
         assert any(g.edges for g in graphs)
         assert sum(r["status"] == SERVED for r in bounded.trip_records) > 10
         assert graphs == whole_graphs
