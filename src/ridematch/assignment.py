@@ -74,102 +74,90 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
     the root check and the pickup legs never read an entry beyond it
     (see ``scheduling``).
 
-    A request alone in its group of the same origin, destination and
-    ``f_r`` is priced with each candidate through ``path_cost``.  A
-    larger group shares one candidate list and is priced once per
-    vehicle, loosest first (see ``_price_group``), with the same edges
-    and verdicts as pricing each pair on its own.
+    The requests are grouped by origin, destination and ``f_r``, and
+    each group, one request or more, is priced by ``_price_group``.
     """
-    edges: list[Edge] = []
-    feasible_sets: dict[int, tuple[int, ...]] = {}
     if context is None:
         context = PricingContext(net)
     ordered_requests = sorted(requests, key=lambda r: r.id)
     ordered_vehicles = sorted(vehicles, key=lambda v: v.id)
-    groups: dict[tuple[int, int, int], list[Request]] = {}
+    feasible_sets: dict[int, tuple[int, ...]] = {}
+    edges: dict[int, list[Edge]] = {}
     radii: dict[int, int] = {}  # the largest f_r at each origin
     for req in ordered_requests:
-        groups.setdefault((req.origin, req.destination, req.f_r),
-                          []).append(req)
+        feasible_sets[req.id], edges[req.id] = (), []
         radii[req.origin] = max(req.f_r, radii.get(req.origin, 0))
     net.fill_within(radii)
-    grouped: dict[int, tuple[tuple[int, ...], list[Edge]]] = {}
+    groups: dict[tuple[int, int, int], list[Request]] = {}
+    for req in sorted(ordered_requests, key=lambda r: -r.q_r):
+        groups.setdefault((req.origin, req.destination, req.f_r),
+                          []).append(req)
     for group in groups.values():
-        if len(group) > 1:
-            grouped.update(_price_group(net, t, group, ordered_vehicles,
-                                        context))
-    for req in ordered_requests:
-        if req.id in grouped:
-            feasible_sets[req.id], own = grouped[req.id]
-            edges.extend(own)
-            continue
-        candidates = feasible_vehicles(net, req, ordered_vehicles)
-        feasible_sets[req.id] = tuple(v.id for v in candidates)
-        for veh in candidates:
-            plan = path_cost(net, t, veh, req, context)
-            if plan.feasible:
-                edges.append(Edge(req.id, veh.id, plan.cost, plan.tour))
+        ids = _price_group(net, t, group, ordered_vehicles, context, edges)
+        for req in group:
+            feasible_sets[req.id] = ids
     return BipartiteGraph(
         requests=tuple(r.id for r in ordered_requests),
         vehicles=tuple(v.id for v in ordered_vehicles),
-        edges=tuple(edges),
+        edges=tuple(e for own in edges.values() for e in own),
         feasible_sets=feasible_sets,
     )
 
 
 def _price_group(net: RoadNetwork, t: int, group: Sequence[Request],
-                 vehicles: Sequence[Vehicle], context: PricingContext
-                 ) -> dict[int, tuple[tuple[int, ...], list[Edge]]]:
-    """Each request's candidate ids and edges, for requests that share
-    origin, destination and ``f_r``.
+                 vehicles: Sequence[Vehicle], context: PricingContext,
+                 edges: Mapping[int, list[Edge]]) -> tuple[int, ...]:
+    """Price requests that share origin, destination and ``f_r``, listed
+    loosest first, with each of their candidates, appending each edge to
+    its request's list in ``edges``; returns the candidates' ids.
 
     Such requests get the same candidates, and their deadlines differ by
     one offset: ``q_r = t_r + f_r`` and ``l_r = q_r + H(O, D)``.  Nothing
     else of a request enters a search, so a tighter request's feasible
-    plans are a subset of a looser one's, in the same enumeration order.
-    The search returns the first optimum in that order.  So a looser
-    request's plan whose pickup and dropoff arrivals meet a tighter
-    request's deadlines is the tighter one's plan too, at the same cost,
-    with its own two stops; and a looser request that is infeasible
-    leaves every tighter one infeasible, which is recorded as the verdict
-    ``path_cost`` would record.  For each vehicle with a tour the group
-    is walked by decreasing ``q_r``, and a request the current reference
-    plan cannot answer is searched and becomes the reference.  An empty
-    tour is priced in closed form, request by request.
+    plans are a subset of a looser one's, in the same enumeration order;
+    an empty tour's one plan, the pair, is such a plan too.  The search
+    returns the first optimum in that order.  So a looser request's plan
+    whose pickup and dropoff arrivals meet a tighter request's deadlines
+    is the tighter one's plan too, at the same cost, with its own two
+    stops; and a looser request that is infeasible leaves every tighter
+    one infeasible, which is recorded as the verdict ``path_cost`` would
+    record.  For each candidate, idle or busy, the loosest request is
+    searched through ``path_cost`` and its plan is the reference; a
+    tighter request the reference cannot answer is searched and becomes
+    the reference.  The reference's arrivals are read only when a
+    tighter request needs them.
     """
-    candidates = feasible_vehicles(net, group[0], vehicles)
-    edges: dict[int, list[Edge]] = {req.id: [] for req in group}
-    loosest_first = sorted(group, key=lambda r: -r.q_r)
+    first, *rest = group
+    candidates = feasible_vehicles(net, first, vehicles)
+    own = edges[first.id]
     for veh in candidates:
-        if not veh.tour:
-            for req in group:
-                plan = path_cost(net, t, veh, req, context)
-                if plan.feasible:
-                    edges[req.id].append(Edge(req.id, veh.id, plan.cost,
-                                              plan.tour))
+        plan = path_cost(net, t, veh, first, context)
+        if plan.feasible:
+            own.append(Edge(first.id, veh.id, plan.cost, plan.tour))
+        if not rest:
             continue
-        plan = None  # the reference: the last plan searched
-        for req in loosest_first:
-            if plan is not None and not plan.feasible:
+        searched, visits = first, None  # whose plan is the reference
+        for req in rest:
+            if not plan.feasible:
                 context.refuse(veh, req.id)
                 continue
-            if plan is not None and at_pickup <= req.q_r \
-                    and at_dropoff <= req.l_r:
+            if visits is None:
+                visits = _visits(net, t, veh, plan.tour, searched.id)
+            i, at_pickup, j, at_dropoff = visits
+            if at_pickup <= req.q_r and at_dropoff <= req.l_r:
                 # the reference's tour, with this request's two stops
                 pickup = Stop(PICKUP, req.id, req.origin, req.q_r)
                 dropoff = Stop(DROPOFF, req.id, req.destination, req.l_r)
                 tour = (plan.tour[:i] + (pickup,) + plan.tour[i + 1:j]
                         + (dropoff,) + plan.tour[j + 1:])
             else:
+                searched, visits = req, None
                 plan = path_cost(net, t, veh, req, context)
                 if not plan.feasible:
                     continue
                 tour = plan.tour
-                i, at_pickup, j, at_dropoff = _visits(net, t, veh, tour,
-                                                      req.id)
             edges[req.id].append(Edge(req.id, veh.id, plan.cost, tour))
-    ids = tuple(v.id for v in candidates)
-    return {rid: (ids, own) for rid, own in edges.items()}
+    return tuple(v.id for v in candidates)
 
 
 def _visits(net: RoadNetwork, t: int, vehicle: Vehicle, tour: Tour,

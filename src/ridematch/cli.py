@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
+from .engine import MATCHERS
 from .metrics import (MetricsReport, compute_metrics, format_summary,
                       metrics_header, metrics_row)
 from .network import Field, NetworkFormatError, check_fields, read_json
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out-dir", default="out",
                        help="artifact directory (default: out)")
     p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--matcher", choices=("gmomatch", "baseline"),
+    p_run.add_argument("--matcher", choices=tuple(MATCHERS),
                        help="override the config matcher")
     p_run.set_defaults(handler=cmd_run)
 

@@ -22,8 +22,9 @@ decides when what it keeps goes stale: see ``PricingContext``.  An
 empty tour has one plan, the pair, which ``path_cost`` prices in closed
 form at the search's cost.  ``assignment.build_bipartite`` answers some
 pairs of a round's same-OD requests from a looser request's plan,
-without a search; it records a verdict for each pair it so answers
-infeasible, through ``PricingContext.refuse``, as ``path_cost`` would.
+without a search, on idle and busy vehicles alike; it records a verdict
+for each pair it so answers infeasible, through
+``PricingContext.refuse``, as ``path_cost`` would.
 
 Legs are shortest paths, so no tour reaches a stop sooner than straight
 from where the vehicle is.  That gives two exact cuts.  Before any leg is

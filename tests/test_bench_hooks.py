@@ -14,6 +14,7 @@ import pytest
 import ridematch
 from ridematch import assignment, engine, network
 from ridematch.model import PENDING, Request
+from ridematch.scheduling import PricingContext
 from ridematch.sim import commuter_config, example_config, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,8 +85,10 @@ def test_matchers_take_pending_third(monkeypatch, matcher):
 
 def test_every_candidate_is_priced_through_the_hooked_name(monkeypatch):
     """The tracer's ``scheduling.insertion_*`` metrics wrap
-    ``assignment.path_cost``: ``build_bipartite`` must look that name up
-    once per candidate pair, not price through a private path."""
+    ``assignment.path_cost``: ``build_bipartite`` must look that name up,
+    not price through a private path.  The rounds of ``example_config``
+    hold no two requests of the same origin, destination and ``f_r``, so
+    there every candidate pair is searched, once."""
     priced = []
     real_path_cost = assignment.path_cost
     monkeypatch.setattr(assignment, "path_cost",
@@ -105,6 +108,52 @@ def test_every_candidate_is_priced_through_the_hooked_name(monkeypatch):
     run_scenario(example_config(loading_period_s=300, fleet_size=5))
     assert sum(n for n, _ in per_call) > 0
     assert all(n == candidates for n, candidates in per_call)
+
+
+@pytest.mark.parametrize("capacity", [4, 10])
+def test_each_candidate_pair_is_answered_exactly_once(monkeypatch, capacity):
+    """In every ``build_bipartite`` call each candidate pair is answered
+    once, in one of three ways: searched through ``assignment.path_cost``,
+    refused through ``PricingContext.refuse`` after a looser request of
+    its group was found infeasible, or given an edge from a looser
+    request's plan without a search.  ``commuter_config``'s bursts hold
+    same-OD groups, so the last two both happen."""
+    searched, refused = [], []
+    real_path_cost = assignment.path_cost
+    real_refuse = PricingContext.refuse
+
+    def path_cost(net, t, vehicle, request, context):
+        searched.append((request.id, vehicle.id))
+        return real_path_cost(net, t, vehicle, request, context)
+
+    def refuse(self, vehicle, request_id):
+        refused.append((request_id, vehicle.id))
+        return real_refuse(self, vehicle, request_id)
+
+    monkeypatch.setattr(assignment, "path_cost", path_cost)
+    monkeypatch.setattr(PricingContext, "refuse", refuse)
+    rounds = []
+    real_build = engine.build_bipartite
+
+    def build(*args):
+        del searched[:], refused[:]
+        graph = real_build(*args)
+        seen = set(searched)
+        reused = [(e.request_id, e.vehicle_id) for e in graph.edges
+                  if (e.request_id, e.vehicle_id) not in seen]
+        candidates = [(rid, vid) for rid, vids in graph.feasible_sets.items()
+                      for vid in vids]
+        rounds.append((sorted(searched + refused + reused),
+                       sorted(candidates), len(refused), len(reused)))
+        return graph
+
+    monkeypatch.setattr(engine, "build_bipartite", build)
+    run_scenario(commuter_config(capacity=capacity))
+    assert rounds
+    for answered, candidates, _, _ in rounds:
+        assert answered == candidates
+    assert sum(n for _, _, n, _ in rounds) > 0
+    assert sum(n for _, _, _, n in rounds) > 0
 
 
 def test_every_dijkstra_runs_inside_the_hooked_method(monkeypatch, tmp_path):

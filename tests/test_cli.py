@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ridematch import cli, sim
+from ridematch import cli, engine, sim
 from ridematch.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +90,13 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 42
         assert manifest["config"]["matcher"] == "baseline"
+
+    def test_matcher_choices_come_from_the_engine(self, monkeypatch):
+        # one list of matchers: a new engine entry is a valid --matcher
+        monkeypatch.setitem(engine.MATCHERS, "probe", engine.baseline_update)
+        args = cli.build_parser().parse_args(
+            ["run", "--config", "cfg.json", "--matcher", "probe"])
+        assert args.matcher == "probe"
 
     def test_missing_network_file_names_path(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
