@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .model import DROPOFF, PICKUP, Request, Stop, Tour, Vehicle
@@ -65,14 +66,14 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
                     context: PricingContext | None = None) -> BipartiteGraph:
     """Price every candidate request/vehicle pair at update time ``t``.
 
-    Edges, and each request's candidate vehicles, are listed in request
-    id order, then vehicle id order.  Pricing goes through ``context``,
-    which may carry sides and verdicts from earlier calls; a fresh
-    ``PricingContext`` when None.  The rows into the requests' origins
-    are computed first, in batches, each out to the largest ``f_r`` of
-    the requests there (``RoadNetwork.fill_within``): the reach filter,
-    the root check and the pickup legs never read an entry beyond it
-    (see ``scheduling``).
+    Edges are listed in request id order, then vehicle id order, and
+    each request's candidate vehicles in id order.  Pricing goes through
+    ``context``, which may carry sides and verdicts from earlier calls; a
+    fresh ``PricingContext`` when None.  The rows into the requests'
+    origins are computed first, in batches, each out to the largest
+    ``f_r`` of the requests there (``RoadNetwork.fill_within``): the
+    reach filter, the root check and the pickup legs never read an entry
+    beyond it (see ``scheduling``).
 
     The requests are grouped by origin, destination and ``f_r``, and
     each group, one request or more, is priced by ``_price_group``.
@@ -81,35 +82,36 @@ def build_bipartite(net: RoadNetwork, t: int, requests: Sequence[Request],
         context = PricingContext(net)
     ordered_requests = sorted(requests, key=lambda r: r.id)
     ordered_vehicles = sorted(vehicles, key=lambda v: v.id)
-    feasible_sets: dict[int, tuple[int, ...]] = {}
-    edges: dict[int, list[Edge]] = {}
     radii: dict[int, int] = {}  # the largest f_r at each origin
     for req in ordered_requests:
-        feasible_sets[req.id], edges[req.id] = (), []
         radii[req.origin] = max(req.f_r, radii.get(req.origin, 0))
     net.fill_within(radii)
     groups: dict[tuple[int, int, int], list[Request]] = {}
-    for req in sorted(ordered_requests, key=lambda r: -r.q_r):
+    for req in sorted(ordered_requests, key=attrgetter("q_r"), reverse=True):
         groups.setdefault((req.origin, req.destination, req.f_r),
                           []).append(req)
+    edges: list[Edge] = []
+    feasible_sets: dict[int, tuple[int, ...]] = {}
     for group in groups.values():
         ids = _price_group(net, t, group, ordered_vehicles, context, edges)
         for req in group:
             feasible_sets[req.id] = ids
+    # a stable sort: each request's edges stay in vehicle id order
+    edges.sort(key=attrgetter("request_id"))
     return BipartiteGraph(
         requests=tuple(r.id for r in ordered_requests),
         vehicles=tuple(v.id for v in ordered_vehicles),
-        edges=tuple(e for own in edges.values() for e in own),
+        edges=tuple(edges),
         feasible_sets=feasible_sets,
     )
 
 
 def _price_group(net: RoadNetwork, t: int, group: Sequence[Request],
                  vehicles: Sequence[Vehicle], context: PricingContext,
-                 edges: Mapping[int, list[Edge]]) -> tuple[int, ...]:
+                 edges: list[Edge]) -> tuple[int, ...]:
     """Price requests that share origin, destination and ``f_r``, listed
-    loosest first, with each of their candidates, appending each edge to
-    its request's list in ``edges``; returns the candidates' ids.
+    loosest first, with each of their candidates, appending their edges
+    to ``edges`` in vehicle id order; returns the candidates' ids.
 
     Such requests get the same candidates, and their deadlines differ by
     one offset: ``q_r = t_r + f_r`` and ``l_r = q_r + H(O, D)``.  Nothing
@@ -127,13 +129,12 @@ def _price_group(net: RoadNetwork, t: int, group: Sequence[Request],
     the reference.  The reference's arrivals are read only when a
     tighter request needs them.
     """
-    first, *rest = group
+    first, rest = group[0], group[1:]
     candidates = feasible_vehicles(net, first, vehicles)
-    own = edges[first.id]
     for veh in candidates:
         plan = path_cost(net, t, veh, first, context)
         if plan.feasible:
-            own.append(Edge(first.id, veh.id, plan.cost, plan.tour))
+            edges.append(Edge(first.id, veh.id, plan.cost, plan.tour))
         if not rest:
             continue
         searched, visits = first, None  # whose plan is the reference
@@ -156,7 +157,7 @@ def _price_group(net: RoadNetwork, t: int, group: Sequence[Request],
                 if not plan.feasible:
                     continue
                 tour = plan.tour
-            edges[req.id].append(Edge(req.id, veh.id, plan.cost, tour))
+            edges.append(Edge(req.id, veh.id, plan.cost, tour))
     return tuple(v.id for v in candidates)
 
 
